@@ -5,7 +5,9 @@
 //! [`crate::tbs_tiled`], [`crate::lbc`] and the five baselines of
 //! `symla_baselines` — are *schedule builders*: they emit the IR of
 //! [`symla_sched::ir`] instead of driving the machine directly. The
-//! [`Engine`] replays a built [`Schedule`] in one of five modes:
+//! [`Engine`] replays a built [`Schedule`] through **one serial loop**
+//! ([`Engine::execute_planned`]) plus a parallel variant, and the machine
+//! under the loop decides what a replay yields:
 //!
 //! * **execute** — [`Engine::execute`] runs the schedule against any
 //!   [`symla_memory::MachineOps`] machine (normally the serial
@@ -18,14 +20,16 @@
 //!   worker has a private capacity-checked fast memory counting its own
 //!   [`symla_memory::IoStats`]. `symla_core::parallel` builds on this for
 //!   the parallel SYRK extension.
-//! * **dry-run** — [`Engine::dry_run`] replays only the accounting and
-//!   returns the exact [`symla_memory::IoStats`] an execution would produce
-//!   (loads, stores, events, flops, peak residency, per-phase split) without
-//!   touching data. Dry runs agree element-for-element with the analytic
-//!   `*_cost` models, which the equivalence tests assert.
-//! * **trace** — [`Engine::trace`] synthesizes the
-//!   [`symla_memory::Trace`] event stream for schedule inspection and bound
-//!   verification, again without executing kernels.
+//! * **dry-run** — [`Engine::dry_run`] is the same serial replay on the
+//!   data-free [`symla_memory::CountingMachine`]: it returns the exact
+//!   [`symla_memory::IoStats`] an execution would produce (loads, stores,
+//!   events, flops, peak residency, per-phase split) without touching data
+//!   or running kernels. Dry runs agree element-for-element with the
+//!   analytic `*_cost` models, which the equivalence tests assert.
+//! * **trace** — [`Engine::trace`] is that replay with trace recording on:
+//!   the [`symla_memory::Trace`] event stream for schedule inspection and
+//!   bound verification. Static pricing ([`modelled_time`]) is the replay
+//!   once more, under a [`symla_memory::LatencyMachine`].
 //! * **execute-prefetch** — every mode above also exists in a prefetching
 //!   variant ([`Engine::execute_with`], [`Engine::dry_run_with`],
 //!   [`Engine::trace_with`], [`Engine::execute_parallel_with`]) taking an
@@ -38,7 +42,8 @@
 //!   overlapped/stalled split is reported in
 //!   [`symla_memory::IoStats::prefetched_elements`].
 //!
-//! The cross-mode invariant (checked by `tests/engine_equivalence.rs`): a
+//! The cross-mode invariant (held by construction for the serial modes and
+//! guarded by `tests/engine_equivalence.rs`): a
 //! serial execution leaves the machine's stats equal to the dry run and its
 //! trace equal to the synthesized trace; a parallel execution leaves the
 //! *sum* of the per-worker stats equal to the dry run, each worker's stats

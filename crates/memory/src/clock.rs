@@ -1,27 +1,26 @@
-//! The modelled timeline a trace stamps its events against.
+//! The modelled timeline: one window clock for every timing consumer.
 //!
-//! [`ModelClock`] replays the *arithmetic* of
-//! [`LatencyMachine`](symla_memory::LatencyMachine) — per-window demand /
-//! prefetch / compute accumulators settled into a
-//! [`TimeStats`] at group boundaries — and additionally exposes a
-//! **position** on that timeline: [`ModelClock::now_ns`], the window's start
-//! plus `demand + max(prefetch, compute)` accumulated so far. The position
-//! is monotone (accumulators only grow within a window, and settling
-//! advances the window start by exactly the window's contribution), so
-//! per-worker event stamps are monotone by construction.
+//! [`ModelClock`] holds the windowed arithmetic of the two-phase overlap
+//! model — per-window demand / prefetch / compute accumulators settled into
+//! a [`TimeStats`] at group boundaries — and exposes a **position** on that
+//! timeline: [`ModelClock::now_ns`], the window's start plus
+//! `demand + max(prefetch, compute)` accumulated so far. The position is
+//! monotone (accumulators only grow within a window, and settling advances
+//! the window start by exactly the window's contribution), so per-worker
+//! event stamps are monotone by construction.
 //!
-//! The accumulation *order of floating-point operations* deliberately
-//! mirrors `LatencyMachine` — a prefetched load is charged to the demand
-//! side first and then moved (`demand -= cost; prefetch += cost`) — so a
-//! clock driven by a real replay and a clock driven by a machine-less walk
-//! of the same schedule produce bitwise-identical stamps and
-//! [`TimeStats`].
+//! [`LatencyMachine`](crate::LatencyMachine) prices a replay with one, and
+//! the observability layer's `InstrumentedMachine` stamps its events with
+//! one, so the two report bitwise-identical [`TimeStats`] for the same
+//! event sequence. A prefetched load is charged to the demand side first
+//! and then moved (`demand -= cost; prefetch += cost`) by
+//! [`ModelClock::reclassify_last_load`]. Every settled window's
+//! contribution is kept in [`ModelClock::windows`].
 
-use symla_memory::{MachineModel, TimeStats};
+use crate::model::{MachineModel, TimeStats};
 
-/// A per-worker position on the modelled timeline, windowed like
-/// [`LatencyMachine`](symla_memory::LatencyMachine).
-#[derive(Debug, Clone, Copy, Default)]
+/// A per-worker position on the modelled timeline.
+#[derive(Debug, Clone, Default)]
 pub struct ModelClock {
     window_start: f64,
     demand: f64,
@@ -31,6 +30,7 @@ pub struct ModelClock {
     /// [`ModelClock::reclassify_last_load`] moves it to the prefetch side.
     last_load: f64,
     settled: TimeStats,
+    windows: Vec<f64>,
 }
 
 impl ModelClock {
@@ -42,7 +42,11 @@ impl ModelClock {
     /// The current position in modelled ns: the window's start plus its
     /// contribution so far (`demand + max(prefetch, compute)`).
     pub fn now_ns(&self) -> f64 {
-        self.window_start + self.demand + self.prefetch.max(self.compute)
+        self.window_start + self.window_ns()
+    }
+
+    fn window_ns(&self) -> f64 {
+        self.demand + self.prefetch.max(self.compute)
     }
 
     /// Charges one load event of `cost` ns (demand side; a following
@@ -65,7 +69,8 @@ impl ModelClock {
 
     /// Moves the most recent load from the demand lane to the overlapped
     /// (prefetch) lane — the clock analogue of
-    /// [`MachineOps::note_prefetch`](symla_memory::MachineOps::note_prefetch).
+    /// [`MachineOps::note_prefetch`](crate::MachineOps::note_prefetch).
+    /// After a store (or with no load yet) it moves nothing.
     pub fn reclassify_last_load(&mut self) {
         self.demand -= self.last_load;
         self.prefetch += self.last_load;
@@ -73,10 +78,13 @@ impl ModelClock {
     }
 
     /// Settles the current window at a group boundary: the position jumps
-    /// to the window's end and the window is accounted into
-    /// [`ModelClock::time`].
+    /// to the window's end, the window is accounted into
+    /// [`ModelClock::time`] and its contribution is appended to
+    /// [`ModelClock::windows`].
     pub fn settle(&mut self) {
-        self.window_start += self.demand + self.prefetch.max(self.compute);
+        let window = self.window_ns();
+        self.window_start += window;
+        self.windows.push(window);
         self.settled
             .add_window(self.demand, self.prefetch, self.compute);
         self.demand = 0.0;
@@ -86,13 +94,19 @@ impl ModelClock {
     }
 
     /// The accumulated [`TimeStats`], including the not-yet-settled window
-    /// (meaningful both mid-replay and after the final boundary) — exactly
-    /// what a [`LatencyMachine`](symla_memory::LatencyMachine) would report
-    /// for the same event sequence.
+    /// (meaningful both mid-replay and after the final boundary).
     pub fn time(&self) -> TimeStats {
         let mut t = self.settled;
         t.add_window(self.demand, self.prefetch, self.compute);
         t
+    }
+
+    /// The contribution `demand + max(prefetch, compute)` of every settled
+    /// window, in settle order — empty windows included, as `0.0`. A replay
+    /// settles once before each task group and once after the last, so
+    /// entry `g + 1` is group `g`'s window.
+    pub fn windows(&self) -> &[f64] {
+        &self.windows
     }
 
     /// Prices and charges a load of `elements` under `model` and returns

@@ -469,18 +469,14 @@ impl<T: Scalar> MachineOps<T> for FileSlowMemory<T> {
 
     fn load_from(&mut self, id: MatrixId, region: Region, level: Level) -> Result<FastBuf<T>> {
         let buf = FileSlowMemory::load(self, id, region)?;
-        if !level.is_default() {
-            self.ledger.note_level_load(level.raw(), buf.len());
-        }
+        self.ledger.note_level_load(level, buf.len());
         Ok(buf)
     }
 
     fn store_to(&mut self, buf: FastBuf<T>, level: Level) -> Result<()> {
         let elements = buf.len();
         FileSlowMemory::store(self, buf)?;
-        if !level.is_default() {
-            self.ledger.note_level_store(level.raw(), elements);
-        }
+        self.ledger.note_level_store(level, elements);
         Ok(())
     }
 }

@@ -24,6 +24,11 @@
 //!   classic slow memory, [`model::MachineModel`] prices each tier, and
 //!   [`stats::IoStats`] breaks traffic down per level. Default-level
 //!   transfers stay bit-for-bit the two-level model.
+//! * [`counting::CountingMachine`] is the data-free machine: the same
+//!   accounting with no payload and no kernels. Schedule analysis (dry
+//!   runs, synthesized traces, static pricing through
+//!   [`latency::LatencyMachine`] and its [`clock::ModelClock`]) is an
+//!   engine replay over it.
 //!
 //! ## Example
 //!
@@ -45,6 +50,8 @@
 #![warn(rust_2018_idioms)]
 
 pub mod cache;
+pub mod clock;
+pub mod counting;
 pub mod error;
 #[cfg(feature = "file-backed")]
 pub mod file;
@@ -60,6 +67,8 @@ pub mod storage;
 pub mod tiered;
 pub mod trace;
 
+pub use clock::ModelClock;
+pub use counting::CountingMachine;
 pub use error::{MemoryError, Result};
 #[cfg(feature = "file-backed")]
 pub use file::FileSlowMemory;

@@ -123,14 +123,15 @@ impl<T: Scalar> FastBuf<T> {
         self.machine_tag
     }
 
-    /// Number of elements in the buffer.
+    /// Number of elements in the buffer: the length of its region, also for
+    /// the payload-free buffers of the data-free [`crate::CountingMachine`].
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.region.len()
     }
 
     /// Whether the buffer is empty.
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.len() == 0
     }
 
     /// The region of the source matrix this buffer mirrors.
@@ -263,13 +264,18 @@ impl Ledger {
         self.resident
     }
 
-    /// Opens a lease account for a newly registered matrix.
+    /// Opens a lease account for a newly registered matrix. Only registered
+    /// matrices count leases; the data-free [`crate::CountingMachine`]
+    /// registers none.
     pub(crate) fn register(&mut self, id: u64) {
         self.leases.insert(id, 0);
     }
 
     pub(crate) fn set_phase(&mut self, phase: &str) {
-        self.phase = phase.to_string();
+        if self.phase != phase {
+            self.phase.clear();
+            self.phase.push_str(phase);
+        }
     }
 
     pub(crate) fn phase(&self) -> &str {
@@ -307,9 +313,10 @@ impl Ledger {
         let elements = region.len();
         self.resident += elements;
         self.stats.observe_resident(self.resident);
-        let phase = self.phase.clone();
-        self.stats.record_load(elements, &phase);
-        *self.leases.get_mut(&id.0).expect("lease entry exists") += 1;
+        self.stats.record_load(elements, &self.phase);
+        if let Some(count) = self.leases.get_mut(&id.0) {
+            *count += 1;
+        }
         self.record_event(Direction::Load, id, region);
     }
 
@@ -318,7 +325,9 @@ impl Ledger {
     pub(crate) fn admit_alloc(&mut self, id: MatrixId, elements: usize) {
         self.resident += elements;
         self.stats.observe_resident(self.resident);
-        *self.leases.get_mut(&id.0).expect("lease entry exists") += 1;
+        if let Some(count) = self.leases.get_mut(&id.0) {
+            *count += 1;
+        }
     }
 
     /// Rejects buffers minted by another machine.
@@ -341,8 +350,7 @@ impl Ledger {
     /// [`Ledger::release`] so the trace event sees the post-release
     /// residency).
     pub(crate) fn note_store(&mut self, id: MatrixId, region: &Region) {
-        let phase = self.phase.clone();
-        self.stats.record_store(region.len(), &phase);
+        self.stats.record_store(region.len(), &self.phase);
         self.record_event(Direction::Store, id, region);
     }
 
@@ -362,14 +370,20 @@ impl Ledger {
         self.stats.note_prefetch(elements);
     }
 
-    /// Attributes an already-counted load to a non-default memory level.
-    pub(crate) fn note_level_load(&mut self, level: u8, elements: usize) {
-        self.stats.record_level_load(level, elements);
+    /// Attributes an already-counted load to its memory level (nothing at
+    /// the default level, see [`IoStats::per_level`]).
+    pub(crate) fn note_level_load(&mut self, level: Level, elements: usize) {
+        if !level.is_default() {
+            self.stats.record_level_load(level.raw(), elements);
+        }
     }
 
-    /// Attributes an already-counted store to a non-default memory level.
-    pub(crate) fn note_level_store(&mut self, level: u8, elements: usize) {
-        self.stats.record_level_store(level, elements);
+    /// Attributes an already-counted store to its memory level (nothing at
+    /// the default level).
+    pub(crate) fn note_level_store(&mut self, level: Level, elements: usize) {
+        if !level.is_default() {
+            self.stats.record_level_store(level.raw(), elements);
+        }
     }
 
     pub(crate) fn stats(&self) -> &IoStats {
@@ -378,6 +392,10 @@ impl Ledger {
 
     pub(crate) fn trace(&self) -> Option<&Trace> {
         self.trace.as_ref()
+    }
+
+    pub(crate) fn into_accounting(self) -> (IoStats, Option<Trace>) {
+        (self.stats, self.trace)
     }
 }
 
@@ -501,7 +519,7 @@ impl<T: Scalar> OocMachine<T> {
                 .ok_or(MemoryError::UnknownMatrix { id: buf.matrix.0 })?;
             matrix.scatter(&buf.region, &buf.data)?;
         }
-        self.ledger.release(buf.matrix.0, buf.data.len());
+        self.ledger.release(buf.matrix.0, buf.len());
         self.ledger.note_store(buf.matrix, &buf.region);
         Ok(())
     }
@@ -509,7 +527,7 @@ impl<T: Scalar> OocMachine<T> {
     /// Releases a buffer without writing it back (no store traffic).
     pub fn discard(&mut self, buf: FastBuf<T>) -> Result<()> {
         self.ledger.check_owned(buf.machine_tag)?;
-        self.ledger.release(buf.matrix.0, buf.data.len());
+        self.ledger.release(buf.matrix.0, buf.len());
         Ok(())
     }
 
@@ -670,6 +688,15 @@ pub trait MachineOps<T: Scalar> {
     /// span opened by [`MachineOps::note_group_start`]). Default no-op.
     fn note_group_end(&mut self, _group: usize) {}
 
+    /// Whether the machine's buffers hold data. A data-free machine (the
+    /// [`crate::CountingMachine`]) hands out payload-free buffers, and
+    /// replayers skip the kernel of every compute step on it (still calling
+    /// [`MachineOps::note_compute`]). Decorators forward this. Default
+    /// `true`.
+    fn carries_data(&self) -> bool {
+        true
+    }
+
     /// Announces a compute kernel about to run, identified by its schedule
     /// mnemonic (`"ger"`, `"chol"`, …). The flop accounting still flows
     /// through [`MachineOps::record_flops`]; this hook only names the
@@ -731,18 +758,14 @@ impl<T: Scalar> MachineOps<T> for OocMachine<T> {
 
     fn load_from(&mut self, id: MatrixId, region: Region, level: Level) -> Result<FastBuf<T>> {
         let buf = OocMachine::load(self, id, region)?;
-        if !level.is_default() {
-            self.ledger.note_level_load(level.raw(), buf.len());
-        }
+        self.ledger.note_level_load(level, buf.len());
         Ok(buf)
     }
 
     fn store_to(&mut self, buf: FastBuf<T>, level: Level) -> Result<()> {
         let elements = buf.len();
         OocMachine::store(self, buf)?;
-        if !level.is_default() {
-            self.ledger.note_level_store(level.raw(), elements);
-        }
+        self.ledger.note_level_store(level, elements);
         Ok(())
     }
 }

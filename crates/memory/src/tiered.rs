@@ -196,6 +196,10 @@ impl<T: Scalar, M: MachineOps<T>> MachineOps<T> for TieredMachine<T, M> {
         self.inner.note_group_end(group);
     }
 
+    fn carries_data(&self) -> bool {
+        self.inner.carries_data()
+    }
+
     fn note_compute(&mut self, kind: &'static str) {
         self.inner.note_compute(kind);
     }

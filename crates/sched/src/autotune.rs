@@ -27,10 +27,11 @@
 //!    with the residency budget clamped to the capacity (mirroring the
 //!    high-level API, so the scored schedule is byte-for-byte the one a
 //!    later run executes).
-//! 3. **Lookahead × workers** — full scoring: prefetch plan, prefetching
-//!    dry run, [`modelled_time_planned`]; worker counts above one are
-//!    priced as an LPT makespan over the per-group windows of
-//!    [`modelled_group_times`].
+//! 3. **Lookahead × workers** — full scoring: one prefetch plan and one
+//!    data-free replay of it, whose counts are the prefetching dry run and
+//!    whose clock gives [`modelled_time_planned`]; worker counts above one
+//!    are priced as an LPT makespan over the same clock's per-group windows
+//!    ([`modelled_group_times`](crate::timing::modelled_group_times)).
 //!
 //! With the default unbounded beam ([`Tuner::new`]) the stages do not prune,
 //! so the search is exhaustive over the cross-product — affordable because
@@ -42,8 +43,9 @@
 //!
 //! ## Zero executions
 //!
-//! Nothing in this module moves a byte of matrix data: the only engine
-//! entry points used are [`Engine::dry_run`] / [`Engine::dry_run_with`].
+//! Nothing in this module moves a byte of matrix data: every engine replay
+//! it makes ([`Engine::dry_run`] and the scoring replay) runs on a
+//! data-free [`CountingMachine`](symla_memory::CountingMachine).
 //! The `ab_autotune` gate asserts this by construction (tuning happens
 //! before any machine exists).
 
@@ -51,7 +53,9 @@ use crate::engine::{Engine, EngineConfig, ParallelError, WorkerRun};
 use crate::ir::Schedule;
 use crate::passes::{PassPipeline, StageOutcome};
 use crate::prefetch::PrefetchPlan;
-use crate::timing::{modelled_group_times, modelled_time_planned};
+#[cfg(test)]
+use crate::timing::modelled_group_times;
+use crate::timing::{group_windows, latency_replay, modelled_time_planned};
 use crate::StableHasher;
 use std::fmt;
 use symla_matrix::Scalar;
@@ -388,7 +392,8 @@ impl<T: Scalar> Tuned<T> {
 /// decreasing duration (ties by index) and greedily assigns each to the
 /// least-loaded worker (ties to the lowest worker index). Returns the
 /// maximum worker load. The autotuner prices `workers > 1` candidates with
-/// this over the per-group windows of [`modelled_group_times`].
+/// this over the per-group windows of
+/// [`modelled_group_times`](crate::timing::modelled_group_times).
 pub fn lpt_makespan(durations: &[f64], workers: usize) -> f64 {
     if workers <= 1 || durations.len() <= 1 {
         return durations.iter().sum();
@@ -539,24 +544,19 @@ impl<'a> Tuner<'a> {
                         leveled = schedule.with_transfer_level(level);
                         &leveled
                     };
-                    let plan = if lookahead == 0 {
-                        PrefetchPlan::default()
-                    } else {
-                        PrefetchPlan::plan(schedule, lookahead, Some(self.capacity))
-                    };
-                    let stats = Engine::dry_run_with(
-                        schedule,
-                        "main",
-                        &EngineConfig::with_lookahead(lookahead),
-                        Some(self.capacity),
-                    );
+                    // One replay scores the candidate: its counts, its
+                    // modelled time and its per-group windows.
+                    let plan =
+                        PrefetchPlan::for_lookahead(schedule, lookahead, Some(self.capacity));
+                    let replay = latency_replay(schedule, self.model, &plan);
+                    let stats = replay.inner().stats().clone();
                     if stats.peak_resident > self.capacity {
                         skipped += space.workers.len();
                         continue;
                     }
-                    let time = modelled_time_planned(schedule, self.model, &plan);
+                    let time = replay.time();
                     let group_times = if space.workers.iter().any(|&w| w > 1) {
-                        Some(modelled_group_times(schedule, self.model, &plan))
+                        Some(group_windows(replay.clock()))
                     } else {
                         None
                     };
@@ -628,11 +628,7 @@ impl<'a> Tuner<'a> {
     /// lookahead, serial replay.
     fn proxy_score<T: Scalar>(&self, schedule: &Schedule<T>, space: &TuningSpace) -> f64 {
         let lookahead = space.lookaheads.first().copied().unwrap_or(0);
-        let plan = if lookahead == 0 {
-            PrefetchPlan::default()
-        } else {
-            PrefetchPlan::plan(schedule, lookahead, Some(self.capacity))
-        };
+        let plan = PrefetchPlan::for_lookahead(schedule, lookahead, Some(self.capacity));
         modelled_time_planned(schedule, self.model, &plan).total_ns()
     }
 

@@ -1,29 +1,27 @@
 //! The generic out-of-core execution engine.
 //!
-//! [`Engine`] replays a [`Schedule`] built from the IR of [`crate::ir`] in
-//! five modes: two that run it, two that only analyze it, and a prefetching
-//! variant of each of the four:
+//! [`Engine`] replays a [`Schedule`] built from the IR of [`crate::ir`]
+//! through **one serial loop** over any [`MachineOps`] machine, plus a
+//! parallel work-stealing variant. The machine decides what a serial replay
+//! yields:
 //!
-//! * [`Engine::execute`] — runs the schedule for real against any
-//!   [`MachineOps`] machine (normally the serial
-//!   [`OocMachine`](symla_memory::OocMachine)): every
-//!   load/store is a counted, capacity-checked machine transfer and every
-//!   compute step runs its block kernel on the resident buffers. The eight
-//!   out-of-core algorithms' `*_execute` wrappers are serial executions
-//!   through this entry point.
+//! * [`Engine::execute`] — on a data-carrying machine (normally the serial
+//!   [`OocMachine`](symla_memory::OocMachine)) transfers are counted and
+//!   capacity-checked and every compute step runs its block kernel; the
+//!   eight out-of-core algorithms' `*_execute` wrappers go through here.
+//! * [`Engine::dry_run`] / [`Engine::trace`] — the same replay on a
+//!   data-free [`CountingMachine`]: transfers are counted (and traced), but
+//!   no data moves and no kernel runs, so the result is exactly the
+//!   [`IoStats`] / [`Trace`] an execution leaves in its machine.
+//! * Static pricing ([`crate::timing`]) — the same replay on a
+//!   [`LatencyMachine`](symla_memory::LatencyMachine) or an
+//!   [`InstrumentedMachine`] stacked on a counting machine.
 //! * [`Engine::execute_parallel`] — distributes the schedule's
 //!   [`TaskGroup`]s over `P` workers of a [`SharedSlowMemory`] through a
 //!   work-stealing queue of [`std::thread::scope`] threads. Each worker is a
 //!   private, capacity-checked fast memory with its own [`IoStats`] /
 //!   [`Trace`]; the groups it replays run through the same per-group code
-//!   path as a serial execution.
-//! * [`Engine::dry_run`] — replays only the accounting: loads, stores,
-//!   events, flops, per-phase attribution and the peak-resident watermark,
-//!   without a machine or data. A dry run of a schedule produces exactly the
-//!   [`IoStats`] an execution of the same schedule produces.
-//! * [`Engine::trace`] — synthesizes the [`Trace`] event stream the machine
-//!   would record, again without executing anything; used for schedule
-//!   inspection and bound verification.
+//!   path as a serial replay.
 //!
 //! Every mode additionally exists in a **prefetching** variant
 //! ([`Engine::execute_with`] / [`Engine::dry_run_with`] /
@@ -33,23 +31,26 @@
 //! the boundary of the current group — i.e. while the current group
 //! computes — whenever they fit in the capacity slack `S − footprint` and
 //! are legal to hoist (see [`crate::prefetch`] for the planner and its
-//! admission rules). Transfer *volumes* are unchanged; the prefetched share
-//! of the load stream is reported in [`IoStats::prefetched_elements`] /
-//! `prefetch_events` (overlapped vs stalled loads), and the residency cost
-//! of the lookahead shows up in `peak_resident`, which by planner
-//! construction never exceeds the machine capacity. `lookahead = 0` is
-//! bit-for-bit today's behaviour.
+//! admission rules). The serial variants plan first and then replay the
+//! plan ([`Engine::execute_planned`]); an empty plan issues nothing, so
+//! `lookahead = 0` is the plain replay. Transfer *volumes* are unchanged;
+//! the prefetched share of the load stream is reported in
+//! [`IoStats::prefetched_elements`] / `prefetch_events` (overlapped vs
+//! stalled loads), and the residency cost of the lookahead shows up in
+//! `peak_resident`, which by planner construction never exceeds the machine
+//! capacity.
 //!
-//! The invariant tying the modes together (checked by the cross-crate
-//! equivalence tests): for any schedule `s`, machine `m` and config `c`,
-//! `execute_with(&mut m, &s, &c)` leaves `m.stats()` equal to
-//! `dry_run_with(&s, .., &c, m.capacity())` and `m.trace()` equal to
-//! `trace_with(&s, .., &c, m.capacity())`; and for any schedule whose groups
-//! are independent, `execute_parallel(&shared, &s, P, ..)` leaves the *sum*
-//! of the per-worker [`IoStats`] equal to `dry_run(&s)`, each worker's stats
-//! equal to the dry run of exactly the groups it processed, and the contents
-//! of the shared slow memory bitwise-identical to what a serial `execute`
-//! leaves behind.
+//! The invariant tying the modes together holds by construction for the
+//! serial modes — one loop emits every transfer — and is kept as a
+//! regression guard by the cross-crate equivalence tests: for any schedule
+//! `s`, machine `m` and config `c`, `execute_with(&mut m, &s, &c)` leaves
+//! `m.stats()` equal to `dry_run_with(&s, .., &c, m.capacity())` and
+//! `m.trace()` equal to `trace_with(&s, .., &c, m.capacity())`; and for any
+//! schedule whose groups are independent, `execute_parallel(&shared, &s, P,
+//! ..)` leaves the *sum* of the per-worker [`IoStats`] equal to
+//! `dry_run(&s)`, each worker's stats equal to the dry run of exactly the
+//! groups it processed, and the contents of the shared slow memory
+//! bitwise-identical to what a serial `execute` leaves behind.
 
 use crate::ir::{BufId, BufSlice, ComputeOp, Schedule, Step, TaskGroup};
 use crate::prefetch::{group_peak, hoistable_loads, PrefetchPlan};
@@ -63,8 +64,8 @@ use symla_matrix::kernels::views::{
 };
 use symla_matrix::{MatrixError, Scalar};
 use symla_memory::{
-    Direction, FastBuf, IoStats, MachineConfig, MachineModel, MachineOps, MemoryError,
-    SharedSlowMemory, Trace, TraceEvent,
+    CountingMachine, FastBuf, IoStats, MachineConfig, MachineModel, MachineOps, MemoryError,
+    SharedSlowMemory, Trace,
 };
 use symla_obs::{InstrumentedMachine, TraceRecorder};
 
@@ -297,7 +298,8 @@ impl StealQueue {
     }
 }
 
-/// The schedule replayer. See the module docs for the five modes.
+/// The schedule replayer. See the module docs for what a replay yields on
+/// each kind of machine.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Engine;
 
@@ -317,18 +319,36 @@ fn short_segment(op: &str, got: usize, needed: usize) -> EngineError {
 /// labeled group before it, else `default` (the machine's phase at entry).
 /// Precomputed so prefetched loads can be charged to the phase of the group
 /// that consumes them, independent of where they are issued.
-fn effective_phases<T: Scalar>(schedule: &Schedule<T>, default: &str) -> Vec<String> {
-    let mut current = default.to_string();
+fn effective_phases<'a, T: Scalar>(schedule: &'a Schedule<T>, default: &'a str) -> Vec<&'a str> {
+    let mut current = default;
     schedule
         .groups
         .iter()
         .map(|group| {
             if let Some(phase) = &group.phase {
-                current = phase.clone();
+                current = phase;
             }
-            current.clone()
+            current
         })
         .collect()
+}
+
+/// Replays `schedule` as [`Engine::execute_with`] would on a machine of
+/// `capacity`, but on a fresh [`CountingMachine`] whose phase starts at
+/// `default_phase`, and returns its accounting — up to the point where the
+/// replay stopped if it was rejected.
+fn count<T: Scalar>(
+    schedule: &Schedule<T>,
+    default_phase: &str,
+    config: &EngineConfig,
+    capacity: Option<usize>,
+    record_trace: bool,
+) -> (IoStats, Option<Trace>) {
+    let plan = PrefetchPlan::for_lookahead(schedule, config.lookahead, capacity);
+    let mut machine = CountingMachine::new(MachineConfig::unlimited().record_trace(record_trace));
+    MachineOps::<T>::set_phase(&mut machine, default_phase);
+    let _ = Engine::execute_planned(&mut machine, schedule, &plan);
+    machine.into_accounting()
 }
 
 fn slice_of<'a, T: Scalar>(bufs: &'a BTreeMap<BufId, FastBuf<T>>, s: &BufSlice) -> Result<&'a [T]> {
@@ -412,31 +432,8 @@ impl Engine {
         schedule: &Schedule<T>,
         config: &EngineConfig,
     ) -> Result<()> {
-        let mut bufs: BTreeMap<BufId, FastBuf<T>> = BTreeMap::new();
-        let mut prefetched: PrefetchedBufs<T> = BTreeMap::new();
-        let outcome = if config.lookahead == 0 {
-            // Fast path: no plan, no phase table — exactly the historical
-            // serial replay (the per-group phase label semantics coincide
-            // with `effective_phases`, without one String per group).
-            Self::replay_plain(machine, schedule, &mut bufs, &mut prefetched)
-        } else {
-            let plan = PrefetchPlan::plan(schedule, config.lookahead, machine.capacity());
-            let phases = effective_phases(schedule, machine.phase());
-            Self::replay(
-                machine,
-                schedule,
-                &plan,
-                &phases,
-                &mut bufs,
-                &mut prefetched,
-            )
-        };
-        for buf in bufs.into_values().chain(prefetched.into_values()) {
-            // Release leaked buffers even when the replay failed; a discard
-            // can only fail for foreign buffers, which cannot be in `bufs`.
-            let _ = machine.discard(buf);
-        }
-        outcome
+        let plan = PrefetchPlan::for_lookahead(schedule, config.lookahead, machine.capacity());
+        Self::execute_planned(machine, schedule, &plan)
     }
 
     /// Replays `schedule` with an **already-computed** prefetch plan,
@@ -451,9 +448,12 @@ impl Engine {
     /// when its boundary count disagrees, and its per-step coordinates are
     /// validated during the replay.
     ///
-    /// An empty plan replays through the same fast path as
-    /// [`Engine::execute`]; results and accounting are identical to
+    /// An empty plan issues nothing: the replay is exactly
+    /// [`Engine::execute`]. Results and accounting are identical to
     /// `execute_with` at the lookahead the plan was computed for.
+    ///
+    /// This is the engine's one serial loop; every other serial entry point
+    /// (and the static pricing of [`crate::timing`]) is a call to it.
     pub fn execute_planned<T: Scalar, M: MachineOps<T>>(
         machine: &mut M,
         schedule: &Schedule<T>,
@@ -485,52 +485,27 @@ impl Engine {
         }
         let mut bufs: BTreeMap<BufId, FastBuf<T>> = BTreeMap::new();
         let mut prefetched: PrefetchedBufs<T> = BTreeMap::new();
-        let outcome = if plan.is_empty() {
-            Self::replay_plain(machine, schedule, &mut bufs, &mut prefetched)
-        } else {
-            let phases = effective_phases(schedule, machine.phase());
-            Self::replay(machine, schedule, plan, &phases, &mut bufs, &mut prefetched)
-        };
+        let outcome = Self::replay(machine, schedule, plan, &mut bufs, &mut prefetched);
         for buf in bufs.into_values().chain(prefetched.into_values()) {
+            // Release leaked buffers even when the replay failed; a discard
+            // can only fail for foreign buffers, which cannot be in `bufs`.
             let _ = machine.discard(buf);
         }
         outcome
     }
 
-    /// The non-prefetching serial replay (`lookahead = 0`).
-    fn replay_plain<T: Scalar, M: MachineOps<T>>(
-        machine: &mut M,
-        schedule: &Schedule<T>,
-        bufs: &mut BTreeMap<BufId, FastBuf<T>>,
-        prefetched: &mut PrefetchedBufs<T>,
-    ) -> Result<()> {
-        for (g, group) in schedule.groups.iter().enumerate() {
-            machine.note_group_boundary();
-            machine.note_group_start(g);
-            if let Some(phase) = &group.phase {
-                machine.set_phase(phase);
-            }
-            Self::replay_group(machine, g, group, bufs, prefetched)?;
-            machine.note_group_end(g);
-        }
-        machine.note_group_boundary();
-        if !bufs.is_empty() {
-            return Err(EngineError::InvalidSchedule(format!(
-                "{} buffer(s) left resident at end of schedule",
-                bufs.len()
-            )));
-        }
-        Ok(())
-    }
-
+    /// The serial replay loop: at every group boundary it first *fills* the
+    /// prefetch window (the loads `plan` issues there, charged to the phase
+    /// of their consuming group) and then *drains* the group itself.
     fn replay<T: Scalar, M: MachineOps<T>>(
         machine: &mut M,
         schedule: &Schedule<T>,
         plan: &PrefetchPlan,
-        phases: &[String],
         bufs: &mut BTreeMap<BufId, FastBuf<T>>,
         prefetched: &mut PrefetchedBufs<T>,
     ) -> Result<()> {
+        let default_phase = machine.phase().to_string();
+        let phases = effective_phases(schedule, &default_phase);
         for (g, group) in schedule.groups.iter().enumerate() {
             machine.note_group_boundary();
             machine.note_group_start(g);
@@ -549,14 +524,14 @@ impl Engine {
                         issue.step, issue.group
                     )));
                 };
-                machine.set_phase(&phases[issue.group]);
+                machine.set_phase(phases[issue.group]);
                 let buf = machine.load_from(*matrix, region.clone(), *level)?;
                 machine.note_prefetch(region.len());
                 machine.note_prefetch_issue(issue.group, issue.step, region.len());
                 prefetched.insert((issue.group, issue.step), buf);
             }
             // Drain: replay the group itself.
-            machine.set_phase(&phases[g]);
+            machine.set_phase(phases[g]);
             Self::replay_group(machine, g, group, bufs, prefetched)?;
             machine.note_group_end(g);
         }
@@ -577,7 +552,8 @@ impl Engine {
     /// A load whose `(group, step)` coordinate is in `prefetched` was issued
     /// (and counted) at an earlier group boundary and replays as a handoff —
     /// coordinates, not buffer ids, key the handoff because concatenated
-    /// schedules legally reuse ids across groups.
+    /// schedules legally reuse ids across groups. On a machine that carries
+    /// no data, compute steps are announced but their kernels skipped.
     fn replay_group<T: Scalar, M: MachineOps<T>>(
         machine: &mut M,
         group_index: usize,
@@ -585,6 +561,7 @@ impl Engine {
         bufs: &mut BTreeMap<BufId, FastBuf<T>>,
         prefetched: &mut PrefetchedBufs<T>,
     ) -> Result<()> {
+        let kernels = machine.carries_data();
         for (idx, step) in group.steps.iter().enumerate() {
             match step {
                 Step::Load {
@@ -620,7 +597,9 @@ impl Engine {
                 }
                 Step::Compute(op) => {
                     machine.note_compute(op.kind());
-                    Self::compute(bufs, op)?;
+                    if kernels {
+                        Self::compute(bufs, op)?;
+                    }
                 }
             }
         }
@@ -1147,11 +1126,18 @@ impl Engine {
     /// Replays only the accounting of `schedule`: the returned [`IoStats`]
     /// equal what [`Engine::execute`] would leave in the machine's counters
     /// (same loads, stores, events, flops, peak residency and per-phase
-    /// attribution), computed without data or capacity limits.
+    /// attribution), computed without data or capacity limits — it *is*
+    /// that replay, on a [`CountingMachine`].
     ///
     /// Transfers of groups with no phase label are attributed to
     /// `default_phase` — pass the machine's current phase (usually
     /// `"main"`).
+    ///
+    /// Never panics: for a schedule the replay rejects (a step naming an
+    /// unknown buffer, a buffer left resident at the end), the stats are the
+    /// accounting made before the rejection, as an execution would leave
+    /// them. Kernels do not run, so a kernel-level error (e.g. a short
+    /// solve segment) does not stop a dry run.
     ///
     /// ```
     /// use symla_memory::{MatrixId, Region};
@@ -1171,53 +1157,10 @@ impl Engine {
     /// assert_eq!(stats.phase("main").loads, 12);
     /// ```
     pub fn dry_run<T: Scalar>(schedule: &Schedule<T>, default_phase: &str) -> IoStats {
-        let mut stats = IoStats::new();
-        let mut sizes: BTreeMap<BufId, usize> = BTreeMap::new();
-        let mut resident = 0usize;
-        let mut phase = default_phase.to_string();
-        for group in &schedule.groups {
-            if let Some(p) = &group.phase {
-                phase = p.clone();
-            }
-            for step in &group.steps {
-                match step {
-                    Step::Load {
-                        region, dst, level, ..
-                    } => {
-                        let elements = region.len();
-                        resident += elements;
-                        stats.observe_resident(resident);
-                        stats.record_load(elements, &phase);
-                        if !level.is_default() {
-                            stats.record_level_load(level.raw(), elements);
-                        }
-                        sizes.insert(*dst, elements);
-                    }
-                    Step::Alloc { region, dst, .. } => {
-                        resident += region.len();
-                        stats.observe_resident(resident);
-                        sizes.insert(*dst, region.len());
-                    }
-                    Step::Flops(flops) => stats.record_flops(*flops),
-                    Step::Store { buf, level } => {
-                        let elements = sizes.remove(buf).unwrap_or(0);
-                        resident -= elements;
-                        stats.record_store(elements, &phase);
-                        if !level.is_default() {
-                            stats.record_level_store(level.raw(), elements);
-                        }
-                    }
-                    Step::Discard { buf } => {
-                        resident -= sizes.remove(buf).unwrap_or(0);
-                    }
-                    Step::Compute(_) => {}
-                }
-            }
-        }
-        stats
+        Self::dry_run_with(schedule, default_phase, &EngineConfig::default(), None)
     }
 
-    /// [`Engine::dry_run`] of the **prefetching** replay: models the exact
+    /// [`Engine::dry_run`] of the **prefetching** replay: the exact
     /// accounting [`Engine::execute_with`] leaves in a machine of capacity
     /// `capacity` — same volumes, events, flops and per-phase split as the
     /// plain dry run, plus the overlapped/stalled load split
@@ -1226,7 +1169,8 @@ impl Engine {
     /// residency (which by planner admission never exceeds `capacity`).
     /// This is how the benefit of a lookahead is quantified without timing
     /// noise: the modelled overlap is the load volume removed from the
-    /// critical path.
+    /// critical path. Like [`Engine::dry_run`] it never panics and returns
+    /// the accounting made before a rejection.
     ///
     /// ```
     /// use symla_memory::{MatrixId, Region};
@@ -1256,78 +1200,14 @@ impl Engine {
         config: &EngineConfig,
         capacity: Option<usize>,
     ) -> IoStats {
-        if config.lookahead == 0 {
-            return Self::dry_run(schedule, default_phase);
-        }
-        let plan = PrefetchPlan::plan(schedule, config.lookahead, capacity);
-        let phases = effective_phases(schedule, default_phase);
-        let mut stats = IoStats::new();
-        let mut sizes: BTreeMap<BufId, usize> = BTreeMap::new();
-        let mut pre_sizes: BTreeMap<(usize, usize), usize> = BTreeMap::new();
-        let mut resident = 0usize;
-        for (g, group) in schedule.groups.iter().enumerate() {
-            for issue in plan.issues_at(g) {
-                let Step::Load { region, level, .. } =
-                    &schedule.groups[issue.group].steps[issue.step]
-                else {
-                    unreachable!("prefetch plans only target load steps");
-                };
-                let elements = region.len();
-                resident += elements;
-                stats.observe_resident(resident);
-                stats.record_load(elements, &phases[issue.group]);
-                if !level.is_default() {
-                    stats.record_level_load(level.raw(), elements);
-                }
-                stats.note_prefetch(elements);
-                pre_sizes.insert((issue.group, issue.step), elements);
-            }
-            for (idx, step) in group.steps.iter().enumerate() {
-                match step {
-                    Step::Load {
-                        region, dst, level, ..
-                    } => {
-                        if let Some(elements) = pre_sizes.remove(&(g, idx)) {
-                            // resident and counted since its issue boundary
-                            sizes.insert(*dst, elements);
-                            continue;
-                        }
-                        let elements = region.len();
-                        resident += elements;
-                        stats.observe_resident(resident);
-                        stats.record_load(elements, &phases[g]);
-                        if !level.is_default() {
-                            stats.record_level_load(level.raw(), elements);
-                        }
-                        sizes.insert(*dst, elements);
-                    }
-                    Step::Alloc { region, dst, .. } => {
-                        resident += region.len();
-                        stats.observe_resident(resident);
-                        sizes.insert(*dst, region.len());
-                    }
-                    Step::Flops(flops) => stats.record_flops(*flops),
-                    Step::Store { buf, level } => {
-                        let elements = sizes.remove(buf).unwrap_or(0);
-                        resident -= elements;
-                        stats.record_store(elements, &phases[g]);
-                        if !level.is_default() {
-                            stats.record_level_store(level.raw(), elements);
-                        }
-                    }
-                    Step::Discard { buf } => {
-                        resident -= sizes.remove(buf).unwrap_or(0);
-                    }
-                    Step::Compute(_) => {}
-                }
-            }
-        }
-        stats
+        count(schedule, default_phase, config, capacity, false).0
     }
 
     /// Synthesizes the transfer trace of `schedule`: the returned [`Trace`]
     /// equals what a machine with trace recording enabled would record while
-    /// executing the schedule.
+    /// executing the schedule — it is that replay, on a trace-recording
+    /// [`CountingMachine`]. Like [`Engine::dry_run`] it never panics; a
+    /// rejected schedule yields the events recorded before the rejection.
     ///
     /// ```
     /// use symla_memory::{Direction, MatrixId, Region};
@@ -1344,62 +1224,7 @@ impl Engine {
     /// assert_eq!(trace.events()[1].resident_after, 0);
     /// ```
     pub fn trace<T: Scalar>(schedule: &Schedule<T>, default_phase: &str) -> Trace {
-        let mut trace = Trace::new();
-        let mut meta: BTreeMap<BufId, (u64, symla_memory::Region)> = BTreeMap::new();
-        let mut resident = 0usize;
-        let mut phase = default_phase.to_string();
-        for group in &schedule.groups {
-            if let Some(p) = &group.phase {
-                phase = p.clone();
-            }
-            for step in &group.steps {
-                match step {
-                    Step::Load {
-                        matrix,
-                        region,
-                        dst,
-                        ..
-                    } => {
-                        resident += region.len();
-                        trace.push(TraceEvent {
-                            direction: Direction::Load,
-                            matrix: matrix.raw(),
-                            region: region.clone(),
-                            phase: phase.clone(),
-                            resident_after: resident,
-                        });
-                        meta.insert(*dst, (matrix.raw(), region.clone()));
-                    }
-                    Step::Alloc {
-                        matrix,
-                        region,
-                        dst,
-                    } => {
-                        resident += region.len();
-                        meta.insert(*dst, (matrix.raw(), region.clone()));
-                    }
-                    Step::Store { buf, .. } => {
-                        if let Some((matrix, region)) = meta.remove(buf) {
-                            resident -= region.len();
-                            trace.push(TraceEvent {
-                                direction: Direction::Store,
-                                matrix,
-                                region,
-                                phase: phase.clone(),
-                                resident_after: resident,
-                            });
-                        }
-                    }
-                    Step::Discard { buf } => {
-                        if let Some((_, region)) = meta.remove(buf) {
-                            resident -= region.len();
-                        }
-                    }
-                    Step::Flops(_) | Step::Compute(_) => {}
-                }
-            }
-        }
-        trace
+        Self::trace_with(schedule, default_phase, &EngineConfig::default(), None)
     }
 
     /// [`Engine::trace`] of the **prefetching** replay: the synthesized
@@ -1413,85 +1238,9 @@ impl Engine {
         config: &EngineConfig,
         capacity: Option<usize>,
     ) -> Trace {
-        if config.lookahead == 0 {
-            return Self::trace(schedule, default_phase);
-        }
-        let plan = PrefetchPlan::plan(schedule, config.lookahead, capacity);
-        let phases = effective_phases(schedule, default_phase);
-        let mut trace = Trace::new();
-        let mut meta: BTreeMap<BufId, (u64, symla_memory::Region)> = BTreeMap::new();
-        let mut pre_meta: BTreeMap<(usize, usize), (u64, symla_memory::Region)> = BTreeMap::new();
-        let mut resident = 0usize;
-        for (g, group) in schedule.groups.iter().enumerate() {
-            for issue in plan.issues_at(g) {
-                let Step::Load { matrix, region, .. } =
-                    &schedule.groups[issue.group].steps[issue.step]
-                else {
-                    unreachable!("prefetch plans only target load steps");
-                };
-                resident += region.len();
-                trace.push(TraceEvent {
-                    direction: Direction::Load,
-                    matrix: matrix.raw(),
-                    region: region.clone(),
-                    phase: phases[issue.group].clone(),
-                    resident_after: resident,
-                });
-                pre_meta.insert((issue.group, issue.step), (matrix.raw(), region.clone()));
-            }
-            for (idx, step) in group.steps.iter().enumerate() {
-                match step {
-                    Step::Load {
-                        matrix,
-                        region,
-                        dst,
-                        ..
-                    } => {
-                        if let Some(entry) = pre_meta.remove(&(g, idx)) {
-                            // transferred at its issue boundary
-                            meta.insert(*dst, entry);
-                            continue;
-                        }
-                        resident += region.len();
-                        trace.push(TraceEvent {
-                            direction: Direction::Load,
-                            matrix: matrix.raw(),
-                            region: region.clone(),
-                            phase: phases[g].clone(),
-                            resident_after: resident,
-                        });
-                        meta.insert(*dst, (matrix.raw(), region.clone()));
-                    }
-                    Step::Alloc {
-                        matrix,
-                        region,
-                        dst,
-                    } => {
-                        resident += region.len();
-                        meta.insert(*dst, (matrix.raw(), region.clone()));
-                    }
-                    Step::Store { buf, .. } => {
-                        if let Some((matrix, region)) = meta.remove(buf) {
-                            resident -= region.len();
-                            trace.push(TraceEvent {
-                                direction: Direction::Store,
-                                matrix,
-                                region,
-                                phase: phases[g].clone(),
-                                resident_after: resident,
-                            });
-                        }
-                    }
-                    Step::Discard { buf } => {
-                        if let Some((_, region)) = meta.remove(buf) {
-                            resident -= region.len();
-                        }
-                    }
-                    Step::Flops(_) | Step::Compute(_) => {}
-                }
-            }
-        }
-        trace
+        count(schedule, default_phase, config, capacity, true)
+            .1
+            .unwrap_or_default()
     }
 }
 
@@ -1633,6 +1382,73 @@ mod tests {
         let err = Engine::execute(&mut machine, &b.finish()).unwrap_err();
         assert!(matches!(err, EngineError::InvalidSchedule(_)), "{err}");
         assert_eq!(machine.resident(), 0);
+    }
+
+    /// The infallible wrappers never panic. On a schedule or plan the replay
+    /// rejects, they return the accounting made before the rejection — for
+    /// the dry run and the trace, exactly what an execution leaves behind.
+    #[test]
+    fn infallible_wrappers_return_the_accounting_before_a_rejection() {
+        use crate::timing::{modelled_group_times, modelled_time_planned};
+        use symla_memory::{MachineModel, TimeStats};
+        let id = MatrixId::synthetic(0);
+
+        // An unknown buffer, and a buffer left resident at the end.
+        let mut unknown = ScheduleBuilder::<f64>::new();
+        unknown.store(99);
+        let mut resident = ScheduleBuilder::<f64>::new();
+        resident.load(id, Region::rect(0, 0, 1, 1));
+        for schedule in [unknown.finish(), resident.finish()] {
+            let mut machine =
+                OocMachine::<f64>::new(MachineConfig::with_capacity(100).record_trace(true));
+            machine.insert_dense(Matrix::zeros(4, 4));
+            assert!(Engine::execute(&mut machine, &schedule).is_err());
+            assert_eq!(&Engine::dry_run(&schedule, "main"), machine.stats());
+            assert_eq!(&Engine::trace(&schedule, "main"), machine.trace().unwrap());
+        }
+
+        // A short solve segment fails the kernel, which a dry run skips: it
+        // keeps the full accounting.
+        let mut b = ScheduleBuilder::<f64>::new();
+        let tile = b.load(id, Region::rect(0, 0, 3, 3));
+        let seg = b.load(id, Region::rect(0, 3, 1, 1));
+        b.compute(ComputeOp::TrsmRightStep {
+            seg,
+            dst: tile,
+            col: 0,
+            pivot: 0,
+        });
+        b.discard(seg);
+        b.store(tile);
+        let stats = Engine::dry_run(&b.finish(), "main");
+        assert_eq!(stats.volume.loads, 10);
+        assert_eq!(stats.volume.stores, 9);
+        assert_eq!(stats.peak_resident, 10);
+
+        // A plan built for a different schedule: its issues name steps
+        // this schedule does not have, so pricing charges nothing.
+        let two_groups = |loads: usize| {
+            let mut b = ScheduleBuilder::<f64>::new();
+            for i in 0..2 {
+                b.begin_group();
+                let bufs: Vec<_> = (0..loads)
+                    .map(|j| b.load(id, Region::rect(i, j, 1, 1)))
+                    .collect();
+                for buf in bufs {
+                    b.store(buf);
+                }
+            }
+            b.finish()
+        };
+        let plan = PrefetchPlan::plan(&two_groups(3), 1, Some(100));
+        assert!(!plan.is_empty());
+        let model = MachineModel::dram();
+        let narrow = two_groups(1);
+        assert_eq!(
+            modelled_time_planned(&narrow, &model, &plan),
+            TimeStats::default()
+        );
+        assert!(modelled_group_times(&narrow, &model, &plan).is_empty());
     }
 
     /// One independent group per diagonal `t x t` block of an `n x n` dense

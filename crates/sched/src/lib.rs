@@ -19,19 +19,19 @@
 //!   compute / store / discard [`ir::Step`]s grouped into independent
 //!   [`ir::TaskGroup`]s, with a compact textual dump
 //!   ([`ir::Schedule::dump`]);
-//! * [`engine`] — the generic engine replaying a schedule against the
-//!   machine model of `symla-memory` in execute, dry-run or trace mode, and
-//!   distributing independent task groups over the workers of a shared slow
-//!   memory in execute-parallel mode; every mode has a prefetching variant
+//! * [`engine`] — the generic engine: one serial replay loop over any
+//!   machine of `symla-memory` (executing on a data-carrying machine,
+//!   dry-running or tracing on the data-free `CountingMachine`), and a
+//!   parallel variant distributing independent task groups over the workers
+//!   of a shared slow memory; every mode has a prefetching variant
 //!   (`*_with` + [`engine::EngineConfig`]) that double-buffers the load
 //!   stream;
 //! * [`prefetch`] — the lookahead planner behind those variants: per group
 //!   boundary it admits the future loads that fit the capacity slack
 //!   `S − footprint` and read fresh data;
-//! * [`timing`] — the modelled wall-clock of a replay: prices a schedule's
-//!   events against a `MachineModel` with the engine's per-group overlap
-//!   windows, bitwise-equal to what a `LatencyMachine` measures during a
-//!   real execution;
+//! * [`timing`] — the modelled wall-clock of a replay: the engine's replay
+//!   on a data-free machine under a `LatencyMachine`, so it is bitwise what
+//!   that latency machine measures during a real execution;
 //! * [`autotune`] — the cost-model-driven autotuner: a beam search over
 //!   tile size × pass pipeline × prefetch lookahead × worker count, every
 //!   candidate scored *without execution* via dry-run stats and the

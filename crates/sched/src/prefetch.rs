@@ -226,6 +226,20 @@ impl PrefetchPlan {
         plan
     }
 
+    /// [`PrefetchPlan::plan`], skipped at lookahead 0: the boundary-free
+    /// empty plan, which replays identically and costs nothing to build.
+    pub(crate) fn for_lookahead<T: Scalar>(
+        schedule: &Schedule<T>,
+        lookahead: usize,
+        capacity: Option<usize>,
+    ) -> Self {
+        if lookahead == 0 {
+            Self::default()
+        } else {
+            Self::plan(schedule, lookahead, capacity)
+        }
+    }
+
     /// The loads issued at the boundary of group `g` (empty past the end).
     pub fn issues_at(&self, g: usize) -> &[PrefetchIssue] {
         self.issues.get(g).map(Vec::as_slice).unwrap_or(&[])

@@ -1,30 +1,32 @@
 //! Modelled wall-clock time of a schedule replay, without executing it.
 //!
-//! [`modelled_time`] walks a [`Schedule`] with exactly the bookkeeping of
-//! [`Engine::dry_run_with`](crate::Engine::dry_run_with) and prices every
-//! event against a [`MachineModel`], bucketing costs into the per-group
-//! windows of the engine's two-phase overlap model (see
-//! [`TimeStats::add_window`]): within one window, prefetched loads overlap
-//! the window's compute, demand loads and stores do not.
+//! Every function here is the engine's one serial loop,
+//! [`Engine::execute_planned`], over a data-free [`CountingMachine`] (no
+//! data moves, no kernel runs) with a timing machine stacked on it:
+//! [`modelled_time`] / [`modelled_time_planned`] return the [`TimeStats`]
+//! of a [`LatencyMachine`]'s [`ModelClock`] — per-group windows of the
+//! two-phase overlap model (see [`TimeStats::add_window`]) — and
+//! [`modelled_group_times`] that clock's per-group windows;
+//! [`modelled_run_trace`] stacks an [`InstrumentedMachine`] instead.
 //!
-//! The result is **bitwise-equal** (as `f64`s) to what a
-//! [`LatencyMachine`](symla_memory::LatencyMachine) wrapping a real machine
-//! accumulates during [`Engine::execute_with`](crate::Engine::execute_with)
-//! of the same schedule under the same model, lookahead and capacity — both
-//! walk the same events in the same order and add the same costs into the
-//! same accumulators. The cross-crate test `tests/wallclock_model.rs`
-//! asserts this for every builder; it is the timing analogue of the
-//! `execute == dry_run` stats invariant.
+//! Since the engine's own replay emits the events, the result is
+//! **bitwise-equal** (as `f64`s) to what a [`LatencyMachine`] over a real
+//! machine accumulates during [`Engine::execute_with`] of the same schedule
+//! under the same model, lookahead and capacity — the timing analogue of
+//! the `execute == dry_run` stats invariant, guarded for every builder by
+//! `tests/wallclock_model.rs`.
 
-use crate::ir::{Schedule, Step};
+use crate::engine::Engine;
+use crate::ir::Schedule;
 use crate::prefetch::PrefetchPlan;
-use std::collections::BTreeMap;
 use symla_matrix::Scalar;
-use symla_memory::{MachineModel, TimeStats};
-use symla_obs::{EventKind, ModelClock, ObsRecord, RunTrace};
+use symla_memory::{
+    CountingMachine, LatencyMachine, MachineConfig, MachineModel, ModelClock, TimeStats,
+};
+use symla_obs::{ExecutionObserver, InstrumentedMachine, ObsRecord, RunTrace, TraceRecorder};
 
-/// Models the wall-clock of [`Engine::execute_with`](crate::Engine::execute_with)
-/// on a machine of `capacity`, pricing transfers and flops with `model`.
+/// Models the wall-clock of [`Engine::execute_with`] on a machine of
+/// `capacity`, pricing transfers and flops with `model`.
 ///
 /// `lookahead = 0` models the plain serial replay (every load is a demand
 /// load; nothing overlaps). With `lookahead = L > 0` the same
@@ -59,198 +61,57 @@ pub fn modelled_time<T: Scalar>(
     lookahead: usize,
     capacity: Option<usize>,
 ) -> TimeStats {
-    let plan = if lookahead == 0 {
-        PrefetchPlan::default()
-    } else {
-        PrefetchPlan::plan(schedule, lookahead, capacity)
-    };
+    let plan = PrefetchPlan::for_lookahead(schedule, lookahead, capacity);
     modelled_time_planned(schedule, model, &plan)
 }
 
 /// [`modelled_time`] with an already-computed [`PrefetchPlan`] (the
-/// modelled-time analogue of
-/// [`Engine::execute_planned`](crate::Engine::execute_planned)). An empty
-/// plan models the plain serial replay.
+/// modelled-time analogue of [`Engine::execute_planned`]). An empty plan
+/// models the plain serial replay.
+///
+/// Never panics: for a schedule or plan the replay rejects (e.g. a plan
+/// built for a different schedule), the result is the time charged before
+/// the rejection.
 pub fn modelled_time_planned<T: Scalar>(
     schedule: &Schedule<T>,
     model: &MachineModel,
     plan: &PrefetchPlan,
 ) -> TimeStats {
-    let mut time = TimeStats::default();
-    let mut sizes: BTreeMap<crate::ir::BufId, usize> = BTreeMap::new();
-    for (g, group) in schedule.groups.iter().enumerate() {
-        // One window per group, mirroring the engine's
-        // `note_group_boundary` cadence: the loads issued at this group's
-        // boundary overlap this group's compute; everything else is serial.
-        let mut demand_ns = 0.0_f64;
-        let mut prefetch_ns = 0.0_f64;
-        let mut compute_ns = 0.0_f64;
-        for issue in plan.issues_at(g) {
-            let Step::Load { region, level, .. } = &schedule.groups[issue.group].steps[issue.step]
-            else {
-                unreachable!("prefetch plans only target load steps");
-            };
-            prefetch_ns += model.load_ns_at(*level, region.len());
-        }
-        for (idx, step) in group.steps.iter().enumerate() {
-            match step {
-                Step::Load {
-                    region, dst, level, ..
-                } => {
-                    sizes.insert(*dst, region.len());
-                    if !plan.is_prefetched(g, idx) {
-                        demand_ns += model.load_ns_at(*level, region.len());
-                    }
-                }
-                Step::Alloc { region, dst, .. } => {
-                    // Allocation moves no data: free, like the machine's
-                    // `allocate_zeroed`. The eventual store is priced.
-                    sizes.insert(*dst, region.len());
-                }
-                Step::Flops(flops) => compute_ns += model.compute_ns(flops.total()),
-                Step::Store { buf, level } => {
-                    demand_ns += model.store_ns_at(*level, sizes.remove(buf).unwrap_or(0));
-                }
-                Step::Discard { buf } => {
-                    sizes.remove(buf);
-                }
-                Step::Compute(_) => {}
-            }
-        }
-        time.add_window(demand_ns, prefetch_ns, compute_ns);
-    }
-    time
+    latency_replay(schedule, model, plan).time()
 }
 
-/// Synthesizes the [`RunTrace`] a serial
-/// [`Engine::execute_with`](crate::Engine::execute_with) on an
-/// [`InstrumentedMachine`](symla_obs::InstrumentedMachine) would record,
-/// without executing anything — the observability analogue of
-/// [`Engine::trace`](crate::Engine::trace).
+/// Synthesizes the [`RunTrace`] a serial [`Engine::execute_with`] on an
+/// [`InstrumentedMachine`] would record, without executing anything — the
+/// observability analogue of [`Engine::trace`].
 ///
-/// The walker replays the engine's exact event cadence (boundary → group
-/// start → prefetch issues → steps → group end) against a
-/// [`ModelClock`], charging costs in the same floating-point operation
-/// order as a real replay, so the synthesized events match an executed
-/// trace **bitwise** in their modelled timestamps and exactly in kind and
-/// order. Real-clock stamps are `0` (nothing ran) and all events sit on
-/// worker track `0`; exporting both traces with
-/// [`TimeBase::Modelled`](symla_obs::TimeBase) yields byte-identical
-/// documents — the `ab_obs` gate asserts exactly that.
+/// It is that replay, on an instrumented counting machine, so the
+/// synthesized events match an executed trace **bitwise** in their modelled
+/// timestamps and exactly in kind and order. Real-clock stamps are `0`
+/// (nothing ran) and all events sit on worker track `0`; exporting both
+/// traces with [`TimeBase::Modelled`](symla_obs::TimeBase) yields
+/// byte-identical documents — the `ab_obs` gate asserts exactly that. A
+/// rejected schedule yields the events recorded before the rejection.
 pub fn modelled_run_trace<T: Scalar>(
     schedule: &Schedule<T>,
     model: &MachineModel,
     lookahead: usize,
     capacity: Option<usize>,
 ) -> RunTrace {
-    let plan = if lookahead == 0 {
-        PrefetchPlan::default()
-    } else {
-        PrefetchPlan::plan(schedule, lookahead, capacity)
-    };
-    fn rec(clock: &ModelClock, kind: EventKind) -> ObsRecord {
-        ObsRecord {
-            worker: 0,
-            real_ns: 0,
-            model_ns: clock.now_ns(),
-            kind,
+    /// A recorder that keeps no real clock: every real stamp is `0`.
+    struct Unclocked(TraceRecorder);
+
+    impl ExecutionObserver for Unclocked {
+        fn record(&self, record: ObsRecord) {
+            self.0.record(record);
         }
     }
-    let mut clock = ModelClock::new();
-    let mut events: Vec<ObsRecord> = Vec::new();
-    let mut sizes: BTreeMap<crate::ir::BufId, usize> = BTreeMap::new();
-    for (g, group) in schedule.groups.iter().enumerate() {
-        clock.settle();
-        events.push(rec(&clock, EventKind::GroupStart { group: g }));
-        for issue in plan.issues_at(g) {
-            let Step::Load { region, level, .. } = &schedule.groups[issue.group].steps[issue.step]
-            else {
-                unreachable!("prefetch plans only target load steps");
-            };
-            clock.charge_load(model.load_ns_at(*level, region.len()));
-            clock.reclassify_last_load();
-            events.push(rec(
-                &clock,
-                EventKind::Load {
-                    elements: region.len(),
-                    prefetched: true,
-                    level: level.raw(),
-                },
-            ));
-            events.push(rec(
-                &clock,
-                EventKind::PrefetchIssue {
-                    group: issue.group,
-                    step: issue.step,
-                    elements: region.len(),
-                },
-            ));
-        }
-        for (idx, step) in group.steps.iter().enumerate() {
-            match step {
-                Step::Load {
-                    region, dst, level, ..
-                } => {
-                    sizes.insert(*dst, region.len());
-                    if plan.is_prefetched(g, idx) {
-                        // The load itself was issued (and recorded) at an
-                        // earlier boundary; its consumption is a handoff.
-                        events.push(rec(
-                            &clock,
-                            EventKind::PrefetchDelivery {
-                                group: g,
-                                step: idx,
-                            },
-                        ));
-                    } else {
-                        clock.charge_load(model.load_ns_at(*level, region.len()));
-                        events.push(rec(
-                            &clock,
-                            EventKind::Load {
-                                elements: region.len(),
-                                prefetched: false,
-                                level: level.raw(),
-                            },
-                        ));
-                    }
-                }
-                Step::Alloc { region, dst, .. } => {
-                    sizes.insert(*dst, region.len());
-                    events.push(rec(
-                        &clock,
-                        EventKind::Alloc {
-                            elements: region.len(),
-                        },
-                    ));
-                }
-                Step::Flops(flops) => {
-                    clock.charge_compute(model.compute_ns(flops.total()));
-                    events.push(rec(&clock, EventKind::flops(*flops)));
-                }
-                Step::Compute(op) => {
-                    events.push(rec(&clock, EventKind::Compute { kind: op.kind() }));
-                }
-                Step::Store { buf, level } => {
-                    let elements = sizes.remove(buf).unwrap_or(0);
-                    clock.charge_store(model.store_ns_at(*level, elements));
-                    events.push(rec(
-                        &clock,
-                        EventKind::Store {
-                            elements,
-                            level: level.raw(),
-                        },
-                    ));
-                }
-                Step::Discard { buf } => {
-                    let elements = sizes.remove(buf).unwrap_or(0);
-                    events.push(rec(&clock, EventKind::Discard { elements }));
-                }
-            }
-        }
-        events.push(rec(&clock, EventKind::GroupEnd { group: g }));
-    }
-    clock.settle();
-    RunTrace::from_events(events)
+
+    let plan = PrefetchPlan::for_lookahead(schedule, lookahead, capacity);
+    let recorder = TraceRecorder::new();
+    let counting = CountingMachine::new(MachineConfig::unlimited());
+    let mut machine = InstrumentedMachine::new(counting, *model, Unclocked(recorder.clone()), 0);
+    let _ = Engine::execute_planned(&mut machine, schedule, &plan);
+    recorder.finish()
 }
 
 /// Per-group wall-clock contributions under the same window model as
@@ -263,51 +124,34 @@ pub fn modelled_run_trace<T: Scalar>(
 /// [`modelled_time_planned`] up to floating-point association order; the
 /// per-group view exists for schedulers that need the *distribution* of the
 /// time — notably the autotuner's parallel makespan model
-/// ([`crate::autotune`]), which assigns group windows to workers.
+/// ([`crate::autotune`]), which assigns group windows to workers. A
+/// rejected replay yields the windows of the groups settled before the
+/// rejection.
 pub fn modelled_group_times<T: Scalar>(
     schedule: &Schedule<T>,
     model: &MachineModel,
     plan: &PrefetchPlan,
 ) -> Vec<f64> {
-    let mut out = Vec::with_capacity(schedule.groups.len());
-    let mut sizes: BTreeMap<crate::ir::BufId, usize> = BTreeMap::new();
-    for (g, group) in schedule.groups.iter().enumerate() {
-        let mut demand_ns = 0.0_f64;
-        let mut prefetch_ns = 0.0_f64;
-        let mut compute_ns = 0.0_f64;
-        for issue in plan.issues_at(g) {
-            let Step::Load { region, level, .. } = &schedule.groups[issue.group].steps[issue.step]
-            else {
-                unreachable!("prefetch plans only target load steps");
-            };
-            prefetch_ns += model.load_ns_at(*level, region.len());
-        }
-        for (idx, step) in group.steps.iter().enumerate() {
-            match step {
-                Step::Load {
-                    region, dst, level, ..
-                } => {
-                    sizes.insert(*dst, region.len());
-                    if !plan.is_prefetched(g, idx) {
-                        demand_ns += model.load_ns_at(*level, region.len());
-                    }
-                }
-                Step::Alloc { region, dst, .. } => {
-                    sizes.insert(*dst, region.len());
-                }
-                Step::Flops(flops) => compute_ns += model.compute_ns(flops.total()),
-                Step::Store { buf, level } => {
-                    demand_ns += model.store_ns_at(*level, sizes.remove(buf).unwrap_or(0));
-                }
-                Step::Discard { buf } => {
-                    sizes.remove(buf);
-                }
-                Step::Compute(_) => {}
-            }
-        }
-        out.push(demand_ns + prefetch_ns.max(compute_ns));
-    }
-    out
+    group_windows(latency_replay(schedule, model, plan).clock())
+}
+
+/// Replays `schedule` under `plan` on a counting machine priced by
+/// `model`. A rejected replay keeps what was charged before the rejection.
+pub(crate) fn latency_replay<T: Scalar>(
+    schedule: &Schedule<T>,
+    model: &MachineModel,
+    plan: &PrefetchPlan,
+) -> LatencyMachine<T, CountingMachine<T>> {
+    let counting = CountingMachine::new(MachineConfig::unlimited());
+    let mut machine = LatencyMachine::new(counting, *model);
+    let _ = Engine::execute_planned(&mut machine, schedule, plan);
+    machine
+}
+
+/// The per-group windows of a replay's clock: a replay settles once before
+/// its first group, so group `g`'s window is the clock's window `g + 1`.
+pub(crate) fn group_windows(clock: &ModelClock) -> Vec<f64> {
+    clock.windows().get(1..).unwrap_or_default().to_vec()
 }
 
 #[cfg(test)]
