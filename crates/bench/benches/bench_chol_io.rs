@@ -29,7 +29,7 @@ fn run_lbc(a: &SymMatrix<f64>, trailing: TrailingUpdate) -> u64 {
     machine.stats().volume.loads
 }
 
-fn bench_out_of_core_cholesky(c: &mut Criterion) {
+fn bench_ooc_cholesky(c: &mut Criterion) {
     let mut group = c.benchmark_group("out-of-core cholesky (S = 36)");
     group.sample_size(10);
     for &n in &[96_usize, 160] {
@@ -58,5 +58,5 @@ fn bench_lbc_cost_model(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_out_of_core_cholesky, bench_lbc_cost_model);
+criterion_group!(benches, bench_ooc_cholesky, bench_lbc_cost_model);
 criterion_main!(benches);

@@ -60,7 +60,7 @@ fn run_tiled(a: &Matrix<f64>, n: usize, m: usize) -> u64 {
     machine.stats().volume.loads
 }
 
-fn bench_out_of_core_syrk(c: &mut Criterion) {
+fn bench_ooc_syrk(c: &mut Criterion) {
     let mut group = c.benchmark_group("out-of-core syrk (S = 36)");
     group.sample_size(10);
     for &n in &[96_usize, 160] {
@@ -94,5 +94,5 @@ fn bench_cost_models(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_out_of_core_syrk, bench_cost_models);
+criterion_group!(benches, bench_ooc_syrk, bench_cost_models);
 criterion_main!(benches);

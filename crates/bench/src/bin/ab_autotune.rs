@@ -1,5 +1,5 @@
 //! A/B gate for the cost-model-driven autotuner: for every schedule builder
-//! the `*_autotuned` twin searches its default `TuningSpace` under the NVMe
+//! a tuned `run` searches the job's default `TuningSpace` under the NVMe
 //! `MachineModel`, and the binary asserts the search paid off without ever
 //! lying about it:
 //!
@@ -8,7 +8,7 @@
 //!    at lookahead 0 (present in every default space), i.e. autotuning never
 //!    loses to the previous one-knob default.
 //! 2. **Bitwise-equal results.** The tuned execution's output must equal the
-//!    plain (un-tuned, un-optimized) twin's output exactly — the tuner may
+//!    plain (un-tuned, un-optimized) run's output exactly — the tuner may
 //!    only pick configurations that re-chunk accumulation chains, never
 //!    reorder them.
 //! 3. **Zero executions during tuning.** Every candidate is scored from
@@ -30,11 +30,7 @@
 //! ```
 
 use std::fmt::Write as _;
-use symla_core::api::{
-    cholesky_out_of_core, cholesky_out_of_core_autotuned, cholesky_tuning_space, gemm_out_of_core,
-    gemm_out_of_core_autotuned, gemm_tuning_space, syrk_out_of_core, syrk_out_of_core_autotuned,
-    syrk_tuning_space, AutotunedRun, CholeskyAlgorithm, SyrkAlgorithm,
-};
+use symla_core::api::{run, CholeskyAlgorithm, Job, RunOptions, RunOutcome, SyrkAlgorithm};
 use symla_core::PassPipeline;
 use symla_matrix::generate::{
     random_matrix_seeded, random_spd_seeded, random_symmetric, seeded_rng,
@@ -78,9 +74,9 @@ fn pipeline_name(p: &PassPipeline) -> String {
 /// Runs the shared gates on one autotuned run and returns its report row.
 ///
 /// `bitwise_ok` is the caller's comparison of the tuned result against the
-/// plain twin's result; everything else is read off the [`AutotunedRun`].
-fn gate(algorithm: &str, n: usize, memory: usize, run: &AutotunedRun, bitwise_ok: bool) -> Row {
-    let tuning = &run.tuning;
+/// plain run's result; everything else is read off the [`RunOutcome`].
+fn gate(algorithm: &str, n: usize, memory: usize, run: &RunOutcome<f64>, bitwise_ok: bool) -> Row {
+    let tuning = run.tuning.as_ref().expect("a tuned run reports its search");
     let winner = tuning.winner();
     let mut checks: Vec<&'static str> = Vec::new();
 
@@ -109,14 +105,14 @@ fn gate(algorithm: &str, n: usize, memory: usize, run: &AutotunedRun, bitwise_ok
         }
     };
 
-    // Gate 2: tuned result bitwise-equal to the plain twin.
+    // Gate 2: tuned result bitwise-equal to the plain run.
     if !bitwise_ok {
         checks.push("RESULT DIFFERS");
     }
 
     // Gate 3: the executed winner's measured stats must equal the stats the
     // scorer derived without executing — dry-run scoring matched reality.
-    if run.run.report.stats != winner.stats {
+    if run.report.stats != winner.stats {
         checks.push("DRY-RUN STATS DIVERGED");
     }
 
@@ -138,8 +134,17 @@ fn gate(algorithm: &str, n: usize, memory: usize, run: &AutotunedRun, bitwise_ok
         winner_ns: winner.modelled_ns,
         standard_l0_ns,
         gap_to_bound: winner.gap_to_bound,
-        loads: run.run.report.stats.volume.loads,
+        loads: run.report.stats.volume.loads,
         checks,
+    }
+}
+
+/// Options searching `job`'s default space against `model`.
+fn tuned(job: &Job<'_, f64>, s: usize, model: &MachineModel) -> RunOptions<'static> {
+    RunOptions {
+        model: Some(*model),
+        tuning: Some(job.tuning_space(s)),
+        ..RunOptions::new(s)
     }
 }
 
@@ -149,12 +154,23 @@ fn syrk_row(algorithm: SyrkAlgorithm, n: usize, m: usize, s: usize, model: &Mach
     let c0: SymMatrix<f64> = random_symmetric(n, &mut rng);
 
     let mut c_plain = c0.clone();
-    syrk_out_of_core(&a, &mut c_plain, 1.0, s, algorithm).expect("plain SYRK");
+    let job = Job::Syrk {
+        a: &a,
+        c: &mut c_plain,
+        alpha: 1.0,
+        algorithm,
+    };
+    run(job, &RunOptions::new(s)).expect("plain SYRK");
 
     let mut c_tuned = c0.clone();
-    let space = syrk_tuning_space(n, s, algorithm);
-    let run = syrk_out_of_core_autotuned(&a, &mut c_tuned, 1.0, s, algorithm, &space, model)
-        .expect("autotuned SYRK");
+    let job = Job::Syrk {
+        a: &a,
+        c: &mut c_tuned,
+        alpha: 1.0,
+        algorithm,
+    };
+    let opts = tuned(&job, s, model);
+    let run = run(job, &opts).expect("autotuned SYRK");
 
     gate(
         &format!("{} n={n} m={m}", algorithm.name()),
@@ -168,18 +184,20 @@ fn syrk_row(algorithm: SyrkAlgorithm, n: usize, m: usize, s: usize, model: &Mach
 fn cholesky_row(algorithm: CholeskyAlgorithm, n: usize, s: usize, model: &MachineModel) -> Row {
     let spd: SymMatrix<f64> = random_spd_seeded(n, 7300 + n as u64);
 
-    let (l_plain, _) = cholesky_out_of_core(&spd, s, algorithm).expect("plain Cholesky");
+    let job = || Job::Cholesky { a: &spd, algorithm };
+    let l_plain = run(job(), &RunOptions::new(s))
+        .expect("plain Cholesky")
+        .factor;
 
-    let space = cholesky_tuning_space(n, s, algorithm);
-    let (l_tuned, run) =
-        cholesky_out_of_core_autotuned(&spd, s, algorithm, &space, model).expect("autotuned Chol");
+    let opts = tuned(&job(), s, model);
+    let run = run(job(), &opts).expect("autotuned Chol");
 
     gate(
         &format!("{} n={n}", algorithm.name()),
         n,
         s,
         &run,
-        l_tuned == l_plain,
+        run.factor == l_plain,
     )
 }
 
@@ -189,12 +207,23 @@ fn gemm_row(n: usize, m: usize, p: usize, s: usize, model: &MachineModel) -> Row
     let c0: Matrix<f64> = random_matrix_seeded(n, p, 7402);
 
     let mut c_plain = c0.clone();
-    gemm_out_of_core(&a, &b, &mut c_plain, 1.0, s).expect("plain GEMM");
+    let job = Job::Gemm {
+        a: &a,
+        b: &b,
+        c: &mut c_plain,
+        alpha: 1.0,
+    };
+    run(job, &RunOptions::new(s)).expect("plain GEMM");
 
     let mut c_tuned = c0.clone();
-    let space = gemm_tuning_space(s);
-    let run = gemm_out_of_core_autotuned(&a, &b, &mut c_tuned, 1.0, s, &space, model)
-        .expect("autotuned GEMM");
+    let job = Job::Gemm {
+        a: &a,
+        b: &b,
+        c: &mut c_tuned,
+        alpha: 1.0,
+    };
+    let opts = tuned(&job, s, model);
+    let run = run(job, &opts).expect("autotuned GEMM");
 
     gate(
         &format!("OOC_GEMM n={n} m={m} p={p}"),

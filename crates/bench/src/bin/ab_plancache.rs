@@ -30,10 +30,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use symla_core::api::{
-    cholesky_out_of_core_prefetched, gemm_out_of_core_prefetched, syrk_out_of_core_prefetched,
-    CholeskyAlgorithm, SyrkAlgorithm,
-};
+use symla_core::api::{run, CholeskyAlgorithm, Job, RunOptions, SyrkAlgorithm};
 use symla_core::parallel::{parallel_syrk, BlockStrategy};
 use symla_core::passes::PassPipeline;
 use symla_core::service::PlanService;
@@ -50,15 +47,21 @@ enum Kernel {
     ParallelSyrk(BlockStrategy),
 }
 
+/// A case's operands (the parallel SYRK registers `C` then `A` itself).
+#[derive(Clone, PartialEq)]
+enum Operands {
+    Syrk(Matrix<f64>, SymMatrix<f64>),
+    Cholesky(SymMatrix<f64>),
+    Gemm(Matrix<f64>, Matrix<f64>, Matrix<f64>),
+}
+
 struct Case {
     kernel: Kernel,
     label: String,
     n: usize,
     m: usize,
     p: usize,
-    s: usize,
-    pipeline: PassPipeline,
-    lookahead: usize,
+    opts: RunOptions<'static>,
 }
 
 impl Case {
@@ -76,40 +79,64 @@ impl Case {
             n,
             m,
             p,
-            s,
-            pipeline,
-            lookahead,
+            opts: RunOptions {
+                pipeline,
+                lookahead,
+                ..RunOptions::new(s)
+            },
+        }
+    }
+
+    /// The case's operands: seeded for execution, or zero-filled for plan
+    /// acquisition (plans depend on shapes only).
+    fn operands(&self, seeded: bool) -> Operands {
+        let (n, m, p) = (self.n, self.m, self.p);
+        let dense = |rows, cols, seed| {
+            if seeded {
+                random_matrix_seeded(rows, cols, seed)
+            } else {
+                Matrix::zeros(rows, cols)
+            }
+        };
+        match self.kernel {
+            Kernel::Syrk(_) => Operands::Syrk(dense(n, m, 9100), SymMatrix::zeros(n)),
+            Kernel::ParallelSyrk(_) => Operands::Syrk(dense(n, m, 9400), SymMatrix::zeros(n)),
+            Kernel::Cholesky(_) if seeded => Operands::Cholesky(random_spd_seeded(n, 9200)),
+            Kernel::Cholesky(_) => Operands::Cholesky(SymMatrix::zeros(n)),
+            Kernel::Gemm => Operands::Gemm(dense(n, m, 9300), dense(m, p, 9301), dense(n, p, 9302)),
+        }
+    }
+
+    /// The serial job over `operands` (`None` for the parallel cases).
+    fn job<'a>(&self, operands: &'a mut Operands) -> Option<Job<'a, f64>> {
+        match (self.kernel, operands) {
+            (Kernel::Syrk(algorithm), Operands::Syrk(a, c)) => Some(Job::Syrk {
+                a,
+                c,
+                alpha: 1.25,
+                algorithm,
+            }),
+            (Kernel::Cholesky(algorithm), Operands::Cholesky(a)) => {
+                Some(Job::Cholesky { a, algorithm })
+            }
+            (Kernel::Gemm, Operands::Gemm(a, b, c)) => Some(Job::Gemm {
+                a,
+                b,
+                c,
+                alpha: 1.25,
+            }),
+            _ => None,
         }
     }
 
     /// Acquires (get-or-compile) this case's plan, returning where it came
-    /// from. Pure plan work — no data is touched.
-    fn acquire(&self, service: &PlanService<f64>) -> PlanSource {
+    /// from. Pure plan work — the zero-filled `operands` only carry shapes.
+    fn acquire(&self, service: &PlanService<f64>, operands: &mut Operands) -> PlanSource {
         let lookup = match self.kernel {
-            Kernel::Syrk(algorithm) => service.syrk_plan(
-                self.n,
-                self.m,
-                1.25,
-                self.s,
-                algorithm,
-                &self.pipeline,
-                self.lookahead,
-            ),
-            Kernel::Cholesky(algorithm) => {
-                service.cholesky_plan(self.n, self.s, algorithm, &self.pipeline, self.lookahead)
-            }
-            Kernel::Gemm => service.gemm_plan(
-                self.n,
-                self.m,
-                self.p,
-                1.25,
-                self.s,
-                &self.pipeline,
-                self.lookahead,
-            ),
             Kernel::ParallelSyrk(strategy) => {
-                service.syrk_parallel_plan(self.n, self.m, 1.25, self.s, strategy)
+                service.syrk_parallel_plan(self.n, self.m, 1.25, self.opts.memory, strategy)
             }
+            _ => service.plan(&self.job(operands).expect("serial case"), &self.opts),
         };
         lookup.expect("plan compilation must succeed").source
     }
@@ -117,89 +144,27 @@ impl Case {
     /// Executes the case once through the direct API and once through the
     /// serve path; returns whether the results were bitwise identical.
     fn bitwise_check(&self, service: &PlanService<f64>) -> bool {
-        match self.kernel {
-            Kernel::Syrk(algorithm) => {
-                let a: Matrix<f64> = random_matrix_seeded(self.n, self.m, 9100);
-                let mut direct = SymMatrix::zeros(self.n);
-                let run = syrk_out_of_core_prefetched(
-                    &a,
-                    &mut direct,
-                    1.25,
-                    self.s,
-                    algorithm,
-                    &self.pipeline,
-                    self.lookahead,
-                )
+        let mut direct = self.operands(true);
+        let mut served = direct.clone();
+        if let Kernel::ParallelSyrk(strategy) = self.kernel {
+            let (Operands::Syrk(a, direct), Operands::Syrk(_, served)) = (&mut direct, &mut served)
+            else {
+                unreachable!("parallel cases carry SYRK operands");
+            };
+            let s = self.opts.memory;
+            let report = parallel_syrk(a, direct, 1.25, 3, s, strategy).unwrap();
+            let serve = service
+                .syrk_parallel(a, served, 1.25, 3, s, strategy, self.opts.lookahead)
                 .unwrap();
-                let mut served = SymMatrix::zeros(self.n);
-                let serve = service
-                    .syrk(
-                        &a,
-                        &mut served,
-                        1.25,
-                        self.s,
-                        algorithm,
-                        &self.pipeline,
-                        self.lookahead,
-                    )
-                    .unwrap();
-                served == direct && serve.stats.volume == run.report.stats.volume
-            }
-            Kernel::Cholesky(algorithm) => {
-                let a: SymMatrix<f64> = random_spd_seeded(self.n, 9200);
-                let (direct, run) = cholesky_out_of_core_prefetched(
-                    &a,
-                    self.s,
-                    algorithm,
-                    &self.pipeline,
-                    self.lookahead,
-                )
-                .unwrap();
-                let (served, serve) = service
-                    .cholesky(&a, self.s, algorithm, &self.pipeline, self.lookahead)
-                    .unwrap();
-                served == direct && serve.stats.volume == run.report.stats.volume
-            }
-            Kernel::Gemm => {
-                let a: Matrix<f64> = random_matrix_seeded(self.n, self.m, 9300);
-                let b: Matrix<f64> = random_matrix_seeded(self.m, self.p, 9301);
-                let c0: Matrix<f64> = random_matrix_seeded(self.n, self.p, 9302);
-                let mut direct = c0.clone();
-                let run = gemm_out_of_core_prefetched(
-                    &a,
-                    &b,
-                    &mut direct,
-                    1.25,
-                    self.s,
-                    &self.pipeline,
-                    self.lookahead,
-                )
-                .unwrap();
-                let mut served = c0.clone();
-                let serve = service
-                    .gemm(
-                        &a,
-                        &b,
-                        &mut served,
-                        1.25,
-                        self.s,
-                        &self.pipeline,
-                        self.lookahead,
-                    )
-                    .unwrap();
-                served == direct && serve.stats.volume == run.report.stats.volume
-            }
-            Kernel::ParallelSyrk(strategy) => {
-                let a: Matrix<f64> = random_matrix_seeded(self.n, self.m, 9400);
-                let mut direct = SymMatrix::zeros(self.n);
-                let report = parallel_syrk(&a, &mut direct, 1.25, 3, self.s, strategy).unwrap();
-                let mut served = SymMatrix::zeros(self.n);
-                let serve = service
-                    .syrk_parallel(&a, &mut served, 1.25, 3, self.s, strategy, self.lookahead)
-                    .unwrap();
-                served == direct && serve.report.total_loads() == report.total_loads()
-            }
+            return served == direct && serve.report.total_loads() == report.total_loads();
         }
+        let job = self.job(&mut direct).expect("serial case");
+        let run = run(job, &self.opts).unwrap();
+        let job = self.job(&mut served).expect("serial case");
+        let serve = service.run(job, &self.opts).unwrap();
+        served == direct
+            && serve.factor == run.factor
+            && serve.stats.volume == run.report.stats.volume
     }
 }
 
@@ -302,7 +267,8 @@ fn main() {
     let mut rows = Vec::new();
     let (mut cold_total, mut warm_total) = (Duration::ZERO, Duration::ZERO);
     for case in &sweep {
-        let (source, cold) = time_once(|| case.acquire(&service));
+        let mut operands = case.operands(false);
+        let (source, cold) = time_once(|| case.acquire(&service, &mut operands));
         assert_eq!(
             source,
             PlanSource::Compiled,
@@ -313,7 +279,7 @@ fn main() {
         let before = service.stats();
         let start = Instant::now();
         for _ in 0..warm_reps {
-            let source = case.acquire(&service);
+            let source = case.acquire(&service, &mut operands);
             assert_eq!(
                 source,
                 PlanSource::Memory,
@@ -381,15 +347,18 @@ fn main() {
     let rounds: usize = if smoke { 10 } else { 50 };
     let cold_service: Arc<PlanService<f64>> = Arc::new(PlanService::in_memory());
     let concurrent_cases: Arc<Vec<Case>> = Arc::new(cases(smoke));
+    let per_thread: Vec<Vec<Operands>> = (0..threads)
+        .map(|_| concurrent_cases.iter().map(|c| c.operands(false)).collect())
+        .collect();
     let start = Instant::now();
     std::thread::scope(|scope| {
-        for _ in 0..threads {
+        for mut operands in per_thread {
             let service = Arc::clone(&cold_service);
             let cases = Arc::clone(&concurrent_cases);
             scope.spawn(move || {
                 for _ in 0..rounds {
-                    for case in cases.iter() {
-                        case.acquire(&service);
+                    for (case, operands) in cases.iter().zip(&mut operands) {
+                        case.acquire(&service, operands);
                     }
                 }
             });

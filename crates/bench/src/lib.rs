@@ -26,7 +26,7 @@ use symla_baselines::{
     ooc_chol_cost, ooc_gemm_cost, ooc_lu_cost, ooc_syrk_cost, OocCholPlan, OocGemmPlan, OocLuPlan,
     OocSyrkPlan,
 };
-use symla_core::api::{cholesky_out_of_core, syrk_out_of_core, CholeskyAlgorithm, SyrkAlgorithm};
+use symla_core::api::{run, CholeskyAlgorithm, Job, RunOptions, SyrkAlgorithm};
 use symla_core::bounds::{self, LbcTermBreakdown};
 use symla_core::parallel::{parallel_syrk, BlockStrategy};
 use symla_core::{
@@ -257,7 +257,13 @@ pub fn e2_syrk_io() -> Table {
             let mut loads = Vec::new();
             for algo in [SyrkAlgorithm::SquareBlocks, SyrkAlgorithm::Tbs] {
                 let mut c = SymMatrix::<f64>::zeros(n);
-                let report = syrk_out_of_core(&a, &mut c, 1.0, s, algo).expect("run");
+                let job = Job::Syrk {
+                    a: &a,
+                    c: &mut c,
+                    alpha: 1.0,
+                    algorithm: algo,
+                };
+                let report = run(job, &RunOptions::new(s)).expect("run").report;
                 assert!(report.prediction_matches());
                 loads.push(report.measured_loads() as u128);
             }
@@ -333,7 +339,11 @@ pub fn e3_cholesky_io() -> Table {
                 CholeskyAlgorithm::LbcSquare,
                 CholeskyAlgorithm::Lbc,
             ] {
-                let (_, report) = cholesky_out_of_core(&a, s, algo).expect("run");
+                let job = Job::Cholesky {
+                    a: &a,
+                    algorithm: algo,
+                };
+                let report = run(job, &RunOptions::new(s)).expect("run").report;
                 assert!(report.prediction_matches());
                 loads.push(report.measured_loads() as u128);
             }

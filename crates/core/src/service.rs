@@ -1,16 +1,17 @@
 //! The compile-once / replay-many serve layer over the plan cache.
 //!
 //! Compiling a plan — emitting the schedule IR, running the optimization
-//! pass pipeline, planning the prefetch lookahead — depends only on the
-//! problem *shape* (kernel, `n`, `m`, `S`, pipeline, lookahead, `α`), never
-//! on the operand values. [`PlanService`] exploits that: it keys every
-//! compiled plan by shape in a [`PlanCache`] (in-memory LRU plus optional
-//! disk tier, single-flight under concurrency) and executes cache hits with
-//! **zero planner work**:
+//! pass pipeline or the autotuner, planning the prefetch lookahead —
+//! depends only on the problem *shape* (kernel, `n`, `m`, `S`, pipeline,
+//! lookahead, `α`), never on the operand values. [`PlanService`] exploits
+//! that: it keys every compiled plan by shape in a [`PlanCache`] (in-memory
+//! LRU plus optional disk tier, single-flight under concurrency) and
+//! executes cache hits with **zero planner work**:
 //!
-//! * serial replays go through `Engine::execute` (no lookahead) or
-//!   [`Engine::execute_planned`] (the prefetch plan was compiled and cached
-//!   alongside the schedule, so the hit path never re-plans);
+//! * [`PlanService::run`] takes the same [`Job`] and [`RunOptions`] as
+//!   [`api::run`](crate::api::run): on a miss it caches the output of the
+//!   same compile step (schedule plus prefetch plan), and every call
+//!   replays through the same [`Engine::execute_planned`] step;
 //! * parallel replays hand the cached partition schedule straight to
 //!   `Engine::execute_parallel_with`.
 //!
@@ -20,7 +21,7 @@
 //! any machine and any data of the right shape.
 //!
 //! ```
-//! use symla_core::api::SyrkAlgorithm;
+//! use symla_core::api::{Job, RunOptions, SyrkAlgorithm};
 //! use symla_core::service::PlanService;
 //! use symla_core::passes::PassPipeline;
 //! use symla_matrix::{generate, SymMatrix};
@@ -28,17 +29,15 @@
 //!
 //! let service = PlanService::<f64>::in_memory();
 //! let a = generate::random_matrix_seeded::<f64>(40, 6, 1);
+//! let opts = RunOptions { pipeline: PassPipeline::standard(), lookahead: 1, ..RunOptions::new(60) };
+//! let syrk = |c| Job::Syrk { a: &a, c, alpha: 1.0, algorithm: SyrkAlgorithm::TbsTiled };
 //!
 //! let mut c1 = SymMatrix::zeros(40);
-//! let cold = service
-//!     .syrk(&a, &mut c1, 1.0, 60, SyrkAlgorithm::TbsTiled, &PassPipeline::standard(), 1)
-//!     .unwrap();
+//! let cold = service.run(syrk(&mut c1), &opts).unwrap();
 //! assert_eq!(cold.source, PlanSource::Compiled);
 //!
 //! let mut c2 = SymMatrix::zeros(40);
-//! let warm = service
-//!     .syrk(&a, &mut c2, 1.0, 60, SyrkAlgorithm::TbsTiled, &PassPipeline::standard(), 1)
-//!     .unwrap();
+//! let warm = service.run(syrk(&mut c2), &opts).unwrap();
 //! assert_eq!(warm.source, PlanSource::Memory);
 //! assert!(c1 == c2); // bitwise-identical execution
 //! assert_eq!(service.stats().compiles, 1);
@@ -47,38 +46,33 @@
 use std::io;
 use std::sync::Arc;
 
-use crate::api::{
-    cholesky_schedule_for, cholesky_schedule_with_tile, gemm_schedule_for, gemm_schedule_with_tile,
-    optimize_schedule, syrk_schedule_for, syrk_schedule_with_tile, tune_serial, CholeskyAlgorithm,
-    SyrkAlgorithm,
-};
+use crate::api::{check, compile, replay, Job, RunOptions, WallClock};
 use crate::parallel::{partition_schedule_scaled, BlockStrategy, ParallelReport, WorkerIo};
 use symla_baselines::error::{OocError, Result};
 use symla_matrix::{LowerTriangular, Matrix, Scalar, SymMatrix};
-use symla_memory::MachineModel;
-use symla_memory::{
-    IoStats, MachineConfig, MachineOps, MatrixId, OocMachine, PanelRef, SharedSlowMemory,
-    SymWindowRef,
-};
-use symla_obs::{EventKind, InstrumentedMachine, RunReport, TraceRecorder};
-use symla_plancache::{
-    CacheStats, CachedPlan, Lookup, PlanCache, PlanCacheConfig, PlanKey, PlanSource,
-};
-use symla_sched::autotune::{model_fingerprint, TuningSpace};
-use symla_sched::{Engine, EngineConfig, PassPipeline, PrefetchPlan, Schedule};
+use symla_memory::{IoStats, MachineConfig, MatrixId, SharedSlowMemory};
+use symla_obs::{EventKind, RunReport};
+use symla_plancache::{CacheStats, Lookup, PlanCache, PlanCacheConfig, PlanKey, PlanSource};
+use symla_sched::autotune::model_fingerprint;
+use symla_sched::{Engine, EngineConfig, PassPipeline, PrefetchPlan};
 
 /// Outcome of one served (cache-mediated) execution.
 #[derive(Debug, Clone)]
-pub struct ServedRun {
+pub struct ServedRun<T: Scalar> {
     /// Measured machine statistics of this replay.
     pub stats: IoStats,
+    /// The Cholesky factor (`None` for SYRK and GEMM, whose result is
+    /// written back into the job's `c`).
+    pub factor: Option<LowerTriangular<T>>,
+    /// Measured-vs-modelled time, when [`RunOptions::model`] is set.
+    pub clock: Option<WallClock>,
     /// Where the plan came from (compiled, memory hit, disk hit, coalesced).
     pub source: PlanSource,
     /// The cache's content hash for the plan key.
     pub key_hash: u64,
 }
 
-impl ServedRun {
+impl<T: Scalar> ServedRun<T> {
     /// This replay's statistics as a machine-readable [`RunReport`]: the
     /// engine counters under `engine.*` plus a `plan.source.<variant>`
     /// marker counter recording where the plan came from.
@@ -112,45 +106,15 @@ pub struct ServedParallelRun {
 /// "Get-or-compile the plan, then execute it on your data": a [`PlanCache`]
 /// plus the operand plumbing of the high-level API.
 ///
-/// The `*_plan` methods return the cached [`CachedPlan`] (schedule +
-/// optional prefetch plan + binary form) so callers can drive any engine
-/// mode themselves — `dry_run`, `trace`, or a custom machine. The kernel
-/// methods ([`syrk`](Self::syrk), [`cholesky`](Self::cholesky),
-/// [`gemm`](Self::gemm), [`syrk_parallel`](Self::syrk_parallel)) do the
+/// [`plan`](Self::plan) returns the cached [`CachedPlan`](symla_plancache::CachedPlan)
+/// (schedule + optional prefetch plan + binary form) so callers can drive
+/// any engine mode themselves — `dry_run`, `trace`, or a custom machine.
+/// [`run`](Self::run) and [`syrk_parallel`](Self::syrk_parallel) do the
 /// full serve: acquire the plan, register the operands in compile order,
 /// replay, extract the result.
 #[derive(Debug)]
 pub struct PlanService<T: Scalar> {
     cache: PlanCache<T>,
-}
-
-/// Compiled-plan finalizer: plan the prefetch lookahead once, at compile
-/// time, against the capacity the key names. Lookahead 0 stores no plan and
-/// replays through the engine's plain fast path.
-fn finish_plan<T: Scalar>(
-    schedule: Schedule<T>,
-    lookahead: usize,
-    s: usize,
-) -> (Schedule<T>, Option<PrefetchPlan>) {
-    if lookahead == 0 {
-        (schedule, None)
-    } else {
-        let plan = PrefetchPlan::plan(&schedule, lookahead, Some(s));
-        (schedule, Some(plan))
-    }
-}
-
-/// Replays a cached plan on `machine`: `execute_planned` when a prefetch
-/// plan was compiled, the plain `execute` fast path otherwise. Either way,
-/// no pass-pipeline and no prefetch-planner work happens here.
-fn replay_cached<T: Scalar, M: MachineOps<T>>(
-    machine: &mut M,
-    plan: &CachedPlan<T>,
-) -> std::result::Result<(), symla_sched::EngineError> {
-    match plan.prefetch() {
-        Some(prefetch) => Engine::execute_planned(machine, plan.schedule(), prefetch),
-        None => Engine::execute(machine, plan.schedule()),
-    }
 }
 
 impl<T: Scalar> PlanService<T> {
@@ -187,61 +151,86 @@ impl<T: Scalar> PlanService<T> {
         report
     }
 
-    // -- keys ---------------------------------------------------------------
-
-    /// The plan key of a serial SYRK run (operands: `A` then `C`).
-    pub fn syrk_key(
-        n: usize,
-        m: usize,
-        alpha: T,
-        s: usize,
-        algorithm: SyrkAlgorithm,
-        pipeline: &PassPipeline,
-        lookahead: usize,
-    ) -> PlanKey {
-        PlanKey::new(
-            format!("syrk/{}", algorithm.name()),
-            n,
-            m,
-            s,
-            pipeline.clone(),
-            lookahead,
-        )
-        .with_f64_param(alpha.to_f64())
+    /// The plan key of `job` run with `opts`. A fixed run is keyed by
+    /// `<kernel>/<schedule name>`, its shape, capacity, pipeline and
+    /// lookahead, GEMM's third dimension and `alpha`. A tuned run's
+    /// pipeline, tile and lookahead are *outputs* of the search, so they do
+    /// not appear in its `autotune/...` key; the fingerprints of the
+    /// searched space and of the model it was scored against do — tuning
+    /// for a different machine must miss.
+    pub fn key(job: &Job<'_, T>, opts: &RunOptions<'_>) -> PlanKey {
+        let (n, m, p) = job.dims();
+        let name = format!("{}/{}", job.kernel(), job.name());
+        let mut key = match &opts.tuning {
+            None => PlanKey::new(
+                name,
+                n,
+                m,
+                opts.memory,
+                opts.pipeline.clone(),
+                opts.lookahead,
+            ),
+            Some(_) => PlanKey::new(
+                format!("autotune/{name}"),
+                n,
+                m,
+                opts.memory,
+                PassPipeline::none(),
+                0,
+            ),
+        };
+        if let Job::Gemm { .. } = job {
+            key = key.with_raw_param(p as u64);
+        }
+        if let Some(alpha) = job.alpha() {
+            key = key.with_f64_param(alpha.to_f64());
+        }
+        if let (Some(space), Some(model)) = (&opts.tuning, &opts.model) {
+            key = key
+                .with_raw_param(space.fingerprint())
+                .with_raw_param(model_fingerprint(model));
+        }
+        key
     }
 
-    /// The plan key of a Cholesky run (operand: the symmetric matrix).
-    pub fn cholesky_key(
-        n: usize,
-        s: usize,
-        algorithm: CholeskyAlgorithm,
-        pipeline: &PassPipeline,
-        lookahead: usize,
-    ) -> PlanKey {
-        PlanKey::new(
-            format!("cholesky/{}", algorithm.name()),
-            n,
-            n,
-            s,
-            pipeline.clone(),
-            lookahead,
-        )
+    /// Gets or compiles the plan of `job` run with `opts`. A miss caches the
+    /// output of the compile step [`api::run`](crate::api::run) uses; a
+    /// tuned miss runs the whole cost-model search (data-free replays only)
+    /// and caches the winner.
+    pub fn plan(&self, job: &Job<'_, T>, opts: &RunOptions<'_>) -> Result<Lookup<T>> {
+        check(job, opts)?;
+        self.cache.get_or_compile(&Self::key(job, opts), || {
+            let compiled = compile(job, opts)?;
+            let prefetch = (!compiled.plan.is_empty()).then_some(compiled.plan);
+            Ok((compiled.schedule, prefetch))
+        })
     }
 
-    /// The plan key of a GEMM run (operands: `A`, `B`, then `C`; the inner
-    /// dimension `p` rides in the params).
-    pub fn gemm_key(
-        n: usize,
-        m: usize,
-        p: usize,
-        alpha: T,
-        s: usize,
-        pipeline: &PassPipeline,
-        lookahead: usize,
-    ) -> PlanKey {
-        PlanKey::new("gemm/OOC_GEMM(rect)", n, m, s, pipeline.clone(), lookahead)
-            .with_raw_param(p as u64)
-            .with_f64_param(alpha.to_f64())
+    /// Serves `job`: the plan from the cache, replayed on the operands.
+    /// Results and statistics are bitwise-identical to
+    /// [`api::run`](crate::api::run) with the same arguments. With a
+    /// recorder set, the cache traffic is recorded too, as
+    /// [`EventKind::CacheLookup`] and [`EventKind::CacheCompile`] events
+    /// ahead of the replay's own.
+    pub fn run(&self, mut job: Job<'_, T>, opts: &RunOptions<'_>) -> Result<ServedRun<T>> {
+        let lookup = self.plan(&job, opts)?;
+        if let Some(recorder) = opts.recorder {
+            let compiled = lookup.source == PlanSource::Compiled;
+            recorder.note(0, EventKind::CacheLookup { hit: !compiled });
+            if compiled {
+                recorder.note(0, EventKind::CacheCompile);
+            }
+        }
+        let empty = PrefetchPlan::default();
+        let plan = lookup.plan.prefetch().unwrap_or(&empty);
+        let replayed = replay(&mut job, lookup.plan.schedule(), plan, opts)?;
+        Ok(ServedRun {
+            stats: replayed.stats,
+            factor: replayed.factor,
+            clock: replayed.clock,
+            source: lookup.source,
+            key_hash: lookup.key_hash,
+        })
     }
 
     /// The plan key of a parallel SYRK partition schedule (operands: `C`
@@ -285,147 +274,6 @@ impl<T: Scalar> PlanService<T> {
         Self::syrk_parallel_key(n, m, alpha, memory_per_node, strategy).with_hierarchy(&[], shards)
     }
 
-    /// The plan key of an autotuned SYRK run. The chosen pipeline, tile and
-    /// lookahead are *outputs* of the search, so they do not appear in the
-    /// key; what identifies the plan is the shape plus the fingerprints of
-    /// the searched [`TuningSpace`] and the [`MachineModel`] it was scored
-    /// against — tuning for a different machine must miss.
-    pub fn syrk_autotuned_key(
-        n: usize,
-        m: usize,
-        alpha: T,
-        s: usize,
-        algorithm: SyrkAlgorithm,
-        space: &TuningSpace,
-        model: &MachineModel,
-    ) -> PlanKey {
-        PlanKey::new(
-            format!("autotune/syrk/{}", algorithm.name()),
-            n,
-            m,
-            s,
-            PassPipeline::none(),
-            0,
-        )
-        .with_f64_param(alpha.to_f64())
-        .with_raw_param(space.fingerprint())
-        .with_raw_param(model_fingerprint(model))
-    }
-
-    /// The plan key of an autotuned Cholesky run (see
-    /// [`syrk_autotuned_key`](Self::syrk_autotuned_key)).
-    pub fn cholesky_autotuned_key(
-        n: usize,
-        s: usize,
-        algorithm: CholeskyAlgorithm,
-        space: &TuningSpace,
-        model: &MachineModel,
-    ) -> PlanKey {
-        PlanKey::new(
-            format!("autotune/cholesky/{}", algorithm.name()),
-            n,
-            n,
-            s,
-            PassPipeline::none(),
-            0,
-        )
-        .with_raw_param(space.fingerprint())
-        .with_raw_param(model_fingerprint(model))
-    }
-
-    /// The plan key of an autotuned GEMM run (see
-    /// [`syrk_autotuned_key`](Self::syrk_autotuned_key)).
-    #[allow(clippy::too_many_arguments)]
-    pub fn gemm_autotuned_key(
-        n: usize,
-        m: usize,
-        p: usize,
-        alpha: T,
-        s: usize,
-        space: &TuningSpace,
-        model: &MachineModel,
-    ) -> PlanKey {
-        PlanKey::new(
-            "autotune/gemm/OOC_GEMM(rect)",
-            n,
-            m,
-            s,
-            PassPipeline::none(),
-            0,
-        )
-        .with_raw_param(p as u64)
-        .with_f64_param(alpha.to_f64())
-        .with_raw_param(space.fingerprint())
-        .with_raw_param(model_fingerprint(model))
-    }
-
-    // -- plan acquisition ---------------------------------------------------
-
-    /// Gets or compiles the plan of a serial SYRK run. Compiled against
-    /// machine-issued ids in insertion order `A = 0`, `C = 1`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn syrk_plan(
-        &self,
-        n: usize,
-        m: usize,
-        alpha: T,
-        s: usize,
-        algorithm: SyrkAlgorithm,
-        pipeline: &PassPipeline,
-        lookahead: usize,
-    ) -> Result<Lookup<T>> {
-        let key = Self::syrk_key(n, m, alpha, s, algorithm, pipeline, lookahead);
-        self.cache.get_or_compile(&key, || {
-            let a_ref = PanelRef::dense(MatrixId::synthetic(0), n, m);
-            let c_ref = SymWindowRef::full(MatrixId::synthetic(1), n);
-            let (schedule, _) = syrk_schedule_for(algorithm, &a_ref, &c_ref, alpha, s)?;
-            let (schedule, _, _) = optimize_schedule(schedule, pipeline, s)?;
-            Ok(finish_plan(schedule, lookahead, s))
-        })
-    }
-
-    /// Gets or compiles the plan of a Cholesky run (operand id 0).
-    pub fn cholesky_plan(
-        &self,
-        n: usize,
-        s: usize,
-        algorithm: CholeskyAlgorithm,
-        pipeline: &PassPipeline,
-        lookahead: usize,
-    ) -> Result<Lookup<T>> {
-        let key = Self::cholesky_key(n, s, algorithm, pipeline, lookahead);
-        self.cache.get_or_compile(&key, || {
-            let window = SymWindowRef::full(MatrixId::synthetic(0), n);
-            let (schedule, _) = cholesky_schedule_for::<T>(algorithm, &window, s)?;
-            let (schedule, _, _) = optimize_schedule(schedule, pipeline, s)?;
-            Ok(finish_plan(schedule, lookahead, s))
-        })
-    }
-
-    /// Gets or compiles the plan of a GEMM run (ids `A = 0`, `B = 1`,
-    /// `C = 2`).
-    #[allow(clippy::too_many_arguments)]
-    pub fn gemm_plan(
-        &self,
-        n: usize,
-        m: usize,
-        p: usize,
-        alpha: T,
-        s: usize,
-        pipeline: &PassPipeline,
-        lookahead: usize,
-    ) -> Result<Lookup<T>> {
-        let key = Self::gemm_key(n, m, p, alpha, s, pipeline, lookahead);
-        self.cache.get_or_compile(&key, || {
-            let a_ref = PanelRef::dense(MatrixId::synthetic(0), n, m);
-            let b_ref = PanelRef::dense(MatrixId::synthetic(1), m, p);
-            let c_ref = PanelRef::dense(MatrixId::synthetic(2), n, p);
-            let (schedule, _) = gemm_schedule_for(&a_ref, &b_ref, &c_ref, alpha, s)?;
-            let (schedule, _, _) = optimize_schedule(schedule, pipeline, s)?;
-            Ok(finish_plan(schedule, lookahead, s))
-        })
-    }
-
     /// Gets or compiles the partition schedule of a parallel SYRK run (ids
     /// `C = 0`, `A = 1`, matching [`crate::parallel::parallel_syrk`]).
     /// Group-to-worker assignment is dynamic, so no prefetch plan is cached;
@@ -442,390 +290,6 @@ impl<T: Scalar> PlanService<T> {
         self.cache.get_or_compile(&key, || {
             let schedule = partition_schedule_scaled(n, m, memory_per_worker, strategy, alpha)?;
             Ok((schedule, None))
-        })
-    }
-
-    /// Gets or compiles the plan of an autotuned SYRK run: on a miss the
-    /// full cost-model search runs (dry runs and modelled time only — no
-    /// execution) and the *winner's* schedule and prefetch plan are cached;
-    /// a hit replays the tuned plan with zero tuner work.
-    #[allow(clippy::too_many_arguments)]
-    pub fn syrk_autotuned_plan(
-        &self,
-        n: usize,
-        m: usize,
-        alpha: T,
-        s: usize,
-        algorithm: SyrkAlgorithm,
-        space: &TuningSpace,
-        model: &MachineModel,
-    ) -> Result<Lookup<T>> {
-        let key = Self::syrk_autotuned_key(n, m, alpha, s, algorithm, space, model);
-        self.cache.get_or_compile(&key, || {
-            let a_ref = PanelRef::dense(MatrixId::synthetic(0), n, m);
-            let c_ref = SymWindowRef::full(MatrixId::synthetic(1), n);
-            let tuned = tune_serial(
-                |tile| {
-                    syrk_schedule_with_tile(algorithm, &a_ref, &c_ref, alpha, s, tile)
-                        .map(|(schedule, _)| schedule)
-                        .map_err(|e| e.to_string())
-                },
-                space,
-                model,
-                s,
-            )?;
-            let prefetch = (!tuned.plan.is_empty()).then_some(tuned.plan);
-            Ok((tuned.schedule, prefetch))
-        })
-    }
-
-    /// Gets or compiles the plan of an autotuned Cholesky run (see
-    /// [`syrk_autotuned_plan`](Self::syrk_autotuned_plan)).
-    pub fn cholesky_autotuned_plan(
-        &self,
-        n: usize,
-        s: usize,
-        algorithm: CholeskyAlgorithm,
-        space: &TuningSpace,
-        model: &MachineModel,
-    ) -> Result<Lookup<T>> {
-        let key = Self::cholesky_autotuned_key(n, s, algorithm, space, model);
-        self.cache.get_or_compile(&key, || {
-            let window = SymWindowRef::full(MatrixId::synthetic(0), n);
-            let tuned = tune_serial(
-                |tile| {
-                    cholesky_schedule_with_tile::<T>(algorithm, &window, s, tile)
-                        .map(|(schedule, _)| schedule)
-                        .map_err(|e| e.to_string())
-                },
-                space,
-                model,
-                s,
-            )?;
-            let prefetch = (!tuned.plan.is_empty()).then_some(tuned.plan);
-            Ok((tuned.schedule, prefetch))
-        })
-    }
-
-    /// Gets or compiles the plan of an autotuned GEMM run (see
-    /// [`syrk_autotuned_plan`](Self::syrk_autotuned_plan)).
-    #[allow(clippy::too_many_arguments)]
-    pub fn gemm_autotuned_plan(
-        &self,
-        n: usize,
-        m: usize,
-        p: usize,
-        alpha: T,
-        s: usize,
-        space: &TuningSpace,
-        model: &MachineModel,
-    ) -> Result<Lookup<T>> {
-        let key = Self::gemm_autotuned_key(n, m, p, alpha, s, space, model);
-        self.cache.get_or_compile(&key, || {
-            let a_ref = PanelRef::dense(MatrixId::synthetic(0), n, m);
-            let b_ref = PanelRef::dense(MatrixId::synthetic(1), m, p);
-            let c_ref = PanelRef::dense(MatrixId::synthetic(2), n, p);
-            let tuned = tune_serial(
-                |tile| {
-                    gemm_schedule_with_tile(&a_ref, &b_ref, &c_ref, alpha, s, tile)
-                        .map(|(schedule, _)| schedule)
-                        .map_err(|e| e.to_string())
-                },
-                space,
-                model,
-                s,
-            )?;
-            let prefetch = (!tuned.plan.is_empty()).then_some(tuned.plan);
-            Ok((tuned.schedule, prefetch))
-        })
-    }
-
-    // -- serve: get-or-compile + execute ------------------------------------
-
-    /// Serves an out-of-core SYRK (`C += alpha·A·Aᵀ`): plan from the cache,
-    /// replay on `a`/`c`. Bitwise-identical to
-    /// [`syrk_out_of_core_prefetched`](crate::api::syrk_out_of_core_prefetched)
-    /// with the same arguments.
-    #[allow(clippy::too_many_arguments)]
-    pub fn syrk(
-        &self,
-        a: &Matrix<T>,
-        c: &mut SymMatrix<T>,
-        alpha: T,
-        s: usize,
-        algorithm: SyrkAlgorithm,
-        pipeline: &PassPipeline,
-        lookahead: usize,
-    ) -> Result<ServedRun> {
-        let n = c.order();
-        let m = a.cols();
-        if a.rows() != n {
-            return Err(OocError::Invalid(format!(
-                "SYRK operand mismatch: A is {}x{m} but C has order {n}",
-                a.rows()
-            )));
-        }
-        let lookup = self.syrk_plan(n, m, alpha, s, algorithm, pipeline, lookahead)?;
-        let mut machine = OocMachine::new(MachineConfig::with_capacity(s));
-        let a_id = machine.insert_dense(a.clone());
-        let c_id = machine.insert_symmetric(c.clone());
-        debug_assert_eq!(
-            (a_id, c_id),
-            (MatrixId::synthetic(0), MatrixId::synthetic(1)),
-            "operand registration order must match plan compilation"
-        );
-        replay_cached(&mut machine, &lookup.plan)?;
-        let stats = machine.stats().clone();
-        *c = machine.take_symmetric(c_id)?;
-        Ok(ServedRun {
-            stats,
-            source: lookup.source,
-            key_hash: lookup.key_hash,
-        })
-    }
-
-    /// [`syrk`](Self::syrk) with the replay observed: cache traffic is
-    /// recorded as [`EventKind::CacheLookup`] / [`EventKind::CacheCompile`]
-    /// events, then the plan replays on an [`InstrumentedMachine`] so every
-    /// load, store, prefetch and compute lands on `recorder` with both real
-    /// and modelled timestamps. The numerical result and [`IoStats`] are
-    /// bitwise-identical to the unobserved serve.
-    #[allow(clippy::too_many_arguments)]
-    pub fn syrk_traced(
-        &self,
-        a: &Matrix<T>,
-        c: &mut SymMatrix<T>,
-        alpha: T,
-        s: usize,
-        algorithm: SyrkAlgorithm,
-        pipeline: &PassPipeline,
-        lookahead: usize,
-        model: &MachineModel,
-        recorder: &TraceRecorder,
-    ) -> Result<ServedRun> {
-        let n = c.order();
-        let m = a.cols();
-        if a.rows() != n {
-            return Err(OocError::Invalid(format!(
-                "SYRK operand mismatch: A is {}x{m} but C has order {n}",
-                a.rows()
-            )));
-        }
-        let lookup = self.syrk_plan(n, m, alpha, s, algorithm, pipeline, lookahead)?;
-        recorder.note(
-            0,
-            EventKind::CacheLookup {
-                hit: lookup.source != PlanSource::Compiled,
-            },
-        );
-        if lookup.source == PlanSource::Compiled {
-            recorder.note(0, EventKind::CacheCompile);
-        }
-        let mut machine = InstrumentedMachine::new(
-            OocMachine::new(MachineConfig::with_capacity(s)),
-            *model,
-            recorder.clone(),
-            0,
-        );
-        let a_id = machine.inner_mut().insert_dense(a.clone());
-        let c_id = machine.inner_mut().insert_symmetric(c.clone());
-        debug_assert_eq!(
-            (a_id, c_id),
-            (MatrixId::synthetic(0), MatrixId::synthetic(1)),
-            "operand registration order must match plan compilation"
-        );
-        replay_cached(&mut machine, &lookup.plan)?;
-        let mut machine = machine.into_inner();
-        let stats = machine.stats().clone();
-        *c = machine.take_symmetric(c_id)?;
-        Ok(ServedRun {
-            stats,
-            source: lookup.source,
-            key_hash: lookup.key_hash,
-        })
-    }
-
-    /// Serves an out-of-core Cholesky factorization of `a`. Bitwise-identical
-    /// to
-    /// [`cholesky_out_of_core_prefetched`](crate::api::cholesky_out_of_core_prefetched).
-    pub fn cholesky(
-        &self,
-        a: &SymMatrix<T>,
-        s: usize,
-        algorithm: CholeskyAlgorithm,
-        pipeline: &PassPipeline,
-        lookahead: usize,
-    ) -> Result<(LowerTriangular<T>, ServedRun)> {
-        let n = a.order();
-        let lookup = self.cholesky_plan(n, s, algorithm, pipeline, lookahead)?;
-        let mut machine = OocMachine::new(MachineConfig::with_capacity(s));
-        let id = machine.insert_symmetric(a.clone());
-        debug_assert_eq!(id, MatrixId::synthetic(0));
-        let outcome = replay_cached(&mut machine, &lookup.plan);
-        machine.set_phase("main");
-        outcome?;
-        let stats = machine.stats().clone();
-        let result = machine.take_symmetric(id)?;
-        let factor = LowerTriangular::from_lower_fn(n, |i, j| result.get(i, j));
-        Ok((
-            factor,
-            ServedRun {
-                stats,
-                source: lookup.source,
-                key_hash: lookup.key_hash,
-            },
-        ))
-    }
-
-    /// Serves an out-of-core GEMM (`C += alpha·A·B`). Bitwise-identical to
-    /// [`gemm_out_of_core_prefetched`](crate::api::gemm_out_of_core_prefetched).
-    #[allow(clippy::too_many_arguments)]
-    pub fn gemm(
-        &self,
-        a: &Matrix<T>,
-        b: &Matrix<T>,
-        c: &mut Matrix<T>,
-        alpha: T,
-        s: usize,
-        pipeline: &PassPipeline,
-        lookahead: usize,
-    ) -> Result<ServedRun> {
-        let (n, m) = (a.rows(), a.cols());
-        let p = b.cols();
-        if b.rows() != m || c.rows() != n || c.cols() != p {
-            return Err(OocError::Invalid(format!(
-                "GEMM operand mismatch: A is {n}x{m}, B is {}x{p}, C is {}x{}",
-                b.rows(),
-                c.rows(),
-                c.cols()
-            )));
-        }
-        let lookup = self.gemm_plan(n, m, p, alpha, s, pipeline, lookahead)?;
-        let mut machine = OocMachine::new(MachineConfig::with_capacity(s));
-        machine.insert_dense(a.clone());
-        machine.insert_dense(b.clone());
-        let c_id = machine.insert_dense(c.clone());
-        debug_assert_eq!(c_id, MatrixId::synthetic(2));
-        replay_cached(&mut machine, &lookup.plan)?;
-        let stats = machine.stats().clone();
-        *c = machine.take_dense(c_id)?;
-        Ok(ServedRun {
-            stats,
-            source: lookup.source,
-            key_hash: lookup.key_hash,
-        })
-    }
-
-    /// Serves an autotuned out-of-core SYRK: the search runs at most once
-    /// per (shape, space, model) key — cache hits replay the tuned winner
-    /// with zero tuner work. Bitwise-identical to
-    /// [`syrk_out_of_core_autotuned`](crate::api::syrk_out_of_core_autotuned)
-    /// with the same arguments.
-    #[allow(clippy::too_many_arguments)]
-    pub fn syrk_autotuned(
-        &self,
-        a: &Matrix<T>,
-        c: &mut SymMatrix<T>,
-        alpha: T,
-        s: usize,
-        algorithm: SyrkAlgorithm,
-        space: &TuningSpace,
-        model: &MachineModel,
-    ) -> Result<ServedRun> {
-        let n = c.order();
-        let m = a.cols();
-        if a.rows() != n {
-            return Err(OocError::Invalid(format!(
-                "SYRK operand mismatch: A is {}x{m} but C has order {n}",
-                a.rows()
-            )));
-        }
-        let lookup = self.syrk_autotuned_plan(n, m, alpha, s, algorithm, space, model)?;
-        let mut machine = OocMachine::new(MachineConfig::with_capacity(s));
-        let a_id = machine.insert_dense(a.clone());
-        let c_id = machine.insert_symmetric(c.clone());
-        debug_assert_eq!(
-            (a_id, c_id),
-            (MatrixId::synthetic(0), MatrixId::synthetic(1)),
-            "operand registration order must match plan compilation"
-        );
-        replay_cached(&mut machine, &lookup.plan)?;
-        let stats = machine.stats().clone();
-        *c = machine.take_symmetric(c_id)?;
-        Ok(ServedRun {
-            stats,
-            source: lookup.source,
-            key_hash: lookup.key_hash,
-        })
-    }
-
-    /// Serves an autotuned out-of-core Cholesky factorization (see
-    /// [`syrk_autotuned`](Self::syrk_autotuned)).
-    pub fn cholesky_autotuned(
-        &self,
-        a: &SymMatrix<T>,
-        s: usize,
-        algorithm: CholeskyAlgorithm,
-        space: &TuningSpace,
-        model: &MachineModel,
-    ) -> Result<(LowerTriangular<T>, ServedRun)> {
-        let n = a.order();
-        let lookup = self.cholesky_autotuned_plan(n, s, algorithm, space, model)?;
-        let mut machine = OocMachine::new(MachineConfig::with_capacity(s));
-        let id = machine.insert_symmetric(a.clone());
-        debug_assert_eq!(id, MatrixId::synthetic(0));
-        let outcome = replay_cached(&mut machine, &lookup.plan);
-        machine.set_phase("main");
-        outcome?;
-        let stats = machine.stats().clone();
-        let result = machine.take_symmetric(id)?;
-        let factor = LowerTriangular::from_lower_fn(n, |i, j| result.get(i, j));
-        Ok((
-            factor,
-            ServedRun {
-                stats,
-                source: lookup.source,
-                key_hash: lookup.key_hash,
-            },
-        ))
-    }
-
-    /// Serves an autotuned out-of-core GEMM (see
-    /// [`syrk_autotuned`](Self::syrk_autotuned)).
-    #[allow(clippy::too_many_arguments)]
-    pub fn gemm_autotuned(
-        &self,
-        a: &Matrix<T>,
-        b: &Matrix<T>,
-        c: &mut Matrix<T>,
-        alpha: T,
-        s: usize,
-        space: &TuningSpace,
-        model: &MachineModel,
-    ) -> Result<ServedRun> {
-        let (n, m) = (a.rows(), a.cols());
-        let p = b.cols();
-        if b.rows() != m || c.rows() != n || c.cols() != p {
-            return Err(OocError::Invalid(format!(
-                "GEMM operand mismatch: A is {n}x{m}, B is {}x{p}, C is {}x{}",
-                b.rows(),
-                c.rows(),
-                c.cols()
-            )));
-        }
-        let lookup = self.gemm_autotuned_plan(n, m, p, alpha, s, space, model)?;
-        let mut machine = OocMachine::new(MachineConfig::with_capacity(s));
-        machine.insert_dense(a.clone());
-        machine.insert_dense(b.clone());
-        let c_id = machine.insert_dense(c.clone());
-        debug_assert_eq!(c_id, MatrixId::synthetic(2));
-        replay_cached(&mut machine, &lookup.plan)?;
-        let stats = machine.stats().clone();
-        *c = machine.take_dense(c_id)?;
-        Ok(ServedRun {
-            stats,
-            source: lookup.source,
-            key_hash: lookup.key_hash,
         })
     }
 
@@ -880,9 +344,7 @@ impl<T: Scalar> PlanService<T> {
         let runs = match outcome {
             Ok(runs) => runs,
             Err(e) => {
-                *c = shared
-                    .take_symmetric(c_id)
-                    .expect("workers released every lease on abort");
+                *c = shared.take_symmetric(c_id)?;
                 return Err(e.error.into());
             }
         };
@@ -919,11 +381,11 @@ pub type SharedPlanService<T> = Arc<PlanService<T>>;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{
-        cholesky_out_of_core_prefetched, gemm_out_of_core_prefetched, syrk_out_of_core_prefetched,
-    };
+    use crate::api::{run, CholeskyAlgorithm, SyrkAlgorithm};
     use crate::parallel::parallel_syrk;
     use symla_matrix::generate::{random_matrix_seeded, random_spd_seeded};
+    use symla_memory::MachineModel;
+    use symla_obs::TraceRecorder;
 
     #[test]
     fn sharded_keys_split_from_the_unsharded_slot() {
@@ -957,15 +419,20 @@ mod tests {
             for pipeline in [PassPipeline::none(), PassPipeline::standard()] {
                 for lookahead in [0usize, 1] {
                     cases += 1;
-                    let mut reference = c0.clone();
-                    let direct = syrk_out_of_core_prefetched(
-                        &a,
-                        &mut reference,
-                        1.5,
-                        s,
-                        algorithm,
-                        &pipeline,
+                    let opts = RunOptions {
+                        pipeline: pipeline.clone(),
                         lookahead,
+                        ..RunOptions::new(s)
+                    };
+                    let mut reference = c0.clone();
+                    let direct = run(
+                        Job::Syrk {
+                            a: &a,
+                            c: &mut reference,
+                            alpha: 1.5,
+                            algorithm,
+                        },
+                        &opts,
                     )
                     .unwrap();
 
@@ -973,7 +440,15 @@ mod tests {
                     // run bitwise, I/O volume included.
                     let mut served = c0.clone();
                     let cold = service
-                        .syrk(&a, &mut served, 1.5, s, algorithm, &pipeline, lookahead)
+                        .run(
+                            Job::Syrk {
+                                a: &a,
+                                c: &mut served,
+                                alpha: 1.5,
+                                algorithm,
+                            },
+                            &opts,
+                        )
                         .unwrap();
                     let ctx = format!("{} {pipeline:?} L={lookahead}", algorithm.name());
                     assert_eq!(cold.source, PlanSource::Compiled, "{ctx}");
@@ -984,7 +459,15 @@ mod tests {
                     // Warm serve hits and is byte-for-byte the same again.
                     let mut warm_c = c0.clone();
                     let warm = service
-                        .syrk(&a, &mut warm_c, 1.5, s, algorithm, &pipeline, lookahead)
+                        .run(
+                            Job::Syrk {
+                                a: &a,
+                                c: &mut warm_c,
+                                alpha: 1.5,
+                                algorithm,
+                            },
+                            &opts,
+                        )
                         .unwrap();
                     assert_eq!(warm.source, PlanSource::Memory, "{ctx}");
                     assert_eq!(warm.key_hash, cold.key_hash, "{ctx}");
@@ -1009,21 +492,29 @@ mod tests {
         let c0 = SymMatrix::<f64>::zeros(n);
         let service = PlanService::<f64>::in_memory();
         let model = MachineModel::default();
+        let plain_opts = RunOptions {
+            pipeline: PassPipeline::standard(),
+            lookahead: 2,
+            ..RunOptions::new(s)
+        };
 
         // Cold: the plan compiles, and the trace records a miss + compile.
         let recorder = TraceRecorder::new();
+        let traced_opts = RunOptions {
+            model: Some(model),
+            recorder: Some(&recorder),
+            ..plain_opts.clone()
+        };
         let mut cold_c = c0.clone();
         let cold = service
-            .syrk_traced(
-                &a,
-                &mut cold_c,
-                1.5,
-                s,
-                SyrkAlgorithm::TbsTiled,
-                &PassPipeline::standard(),
-                2,
-                &model,
-                &recorder,
+            .run(
+                Job::Syrk {
+                    a: &a,
+                    c: &mut cold_c,
+                    alpha: 1.5,
+                    algorithm: SyrkAlgorithm::TbsTiled,
+                },
+                &traced_opts,
             )
             .unwrap();
         let cold_trace = recorder.finish();
@@ -1039,19 +530,16 @@ mod tests {
 
         // Warm: a memory hit, no compile event, and the replay observed by
         // the recorder is bitwise-identical to the unobserved serve.
-        let recorder = TraceRecorder::new();
         let mut warm_c = c0.clone();
         let warm = service
-            .syrk_traced(
-                &a,
-                &mut warm_c,
-                1.5,
-                s,
-                SyrkAlgorithm::TbsTiled,
-                &PassPipeline::standard(),
-                2,
-                &model,
-                &recorder,
+            .run(
+                Job::Syrk {
+                    a: &a,
+                    c: &mut warm_c,
+                    alpha: 1.5,
+                    algorithm: SyrkAlgorithm::TbsTiled,
+                },
+                &traced_opts,
             )
             .unwrap();
         let warm_trace = recorder.finish();
@@ -1071,14 +559,14 @@ mod tests {
 
         let mut plain_c = c0.clone();
         let plain = service
-            .syrk(
-                &a,
-                &mut plain_c,
-                1.5,
-                s,
-                SyrkAlgorithm::TbsTiled,
-                &PassPipeline::standard(),
-                2,
+            .run(
+                Job::Syrk {
+                    a: &a,
+                    c: &mut plain_c,
+                    alpha: 1.5,
+                    algorithm: SyrkAlgorithm::TbsTiled,
+                },
+                &plain_opts,
             )
             .unwrap();
         assert!(warm_c == plain_c, "traced serve bitwise == unobserved");
@@ -1114,23 +602,17 @@ mod tests {
 
         for algorithm in [CholeskyAlgorithm::Lbc, CholeskyAlgorithm::Bereux] {
             for lookahead in [0usize, 2] {
-                let (direct, _) = cholesky_out_of_core_prefetched(
-                    &a,
-                    s,
-                    algorithm,
-                    &PassPipeline::none(),
+                let job = || Job::Cholesky { a: &a, algorithm };
+                let opts = RunOptions {
                     lookahead,
-                )
-                .unwrap();
-                let (cold, run) = service
-                    .cholesky(&a, s, algorithm, &PassPipeline::none(), lookahead)
-                    .unwrap();
-                let (warm, warm_run) = service
-                    .cholesky(&a, s, algorithm, &PassPipeline::none(), lookahead)
-                    .unwrap();
+                    ..RunOptions::new(s)
+                };
+                let direct = run(job(), &opts).unwrap().factor;
+                let run = service.run(job(), &opts).unwrap();
+                let warm_run = service.run(job(), &opts).unwrap();
                 let ctx = format!("{} L={lookahead}", algorithm.name());
-                assert!(cold == direct, "{ctx}: cold bitwise");
-                assert!(warm == direct, "{ctx}: warm bitwise");
+                assert!(run.factor == direct, "{ctx}: cold bitwise");
+                assert!(warm_run.factor == direct, "{ctx}: warm bitwise");
                 assert_eq!(run.source, PlanSource::Compiled, "{ctx}");
                 assert_eq!(warm_run.source, PlanSource::Memory, "{ctx}");
             }
@@ -1144,14 +626,35 @@ mod tests {
         let b: Matrix<f64> = random_matrix_seeded(m, p, 54);
         let c0: Matrix<f64> = random_matrix_seeded(n, p, 55);
         let service = PlanService::<f64>::in_memory();
+        let opts = RunOptions {
+            pipeline: PassPipeline::standard(),
+            lookahead: 1,
+            ..RunOptions::new(s)
+        };
 
         let mut reference = c0.clone();
-        gemm_out_of_core_prefetched(&a, &b, &mut reference, 0.5, s, &PassPipeline::standard(), 1)
-            .unwrap();
+        run(
+            Job::Gemm {
+                a: &a,
+                b: &b,
+                c: &mut reference,
+                alpha: 0.5,
+            },
+            &opts,
+        )
+        .unwrap();
         for expect in [PlanSource::Compiled, PlanSource::Memory] {
             let mut c = c0.clone();
             let run = service
-                .gemm(&a, &b, &mut c, 0.5, s, &PassPipeline::standard(), 1)
+                .run(
+                    Job::Gemm {
+                        a: &a,
+                        b: &b,
+                        c: &mut c,
+                        alpha: 0.5,
+                    },
+                    &opts,
+                )
                 .unwrap();
             assert_eq!(run.source, expect);
             assert!(c == reference, "served GEMM bitwise ({expect:?})");
@@ -1159,7 +662,15 @@ mod tests {
         // Operand mismatch is caught before any machine work.
         let mut bad = Matrix::<f64>::zeros(n, p + 1);
         assert!(service
-            .gemm(&a, &b, &mut bad, 0.5, s, &PassPipeline::none(), 0)
+            .run(
+                Job::Gemm {
+                    a: &a,
+                    b: &b,
+                    c: &mut bad,
+                    alpha: 0.5
+                },
+                &RunOptions::new(s)
+            )
             .is_err());
     }
 
@@ -1202,83 +713,133 @@ mod tests {
 
     #[test]
     fn served_autotuned_matches_direct_and_tunes_once() {
-        use crate::api::{
-            cholesky_out_of_core_autotuned, cholesky_tuning_space, gemm_out_of_core_autotuned,
-            gemm_tuning_space, syrk_out_of_core_autotuned, syrk_tuning_space,
-        };
         let model = MachineModel::nvme();
         let service = PlanService::<f64>::in_memory();
+        let tuned = |job: &Job<'_, f64>, s, model| RunOptions {
+            model: Some(model),
+            tuning: Some(job.tuning_space(s)),
+            ..RunOptions::new(s)
+        };
 
         // SYRK: direct autotuned run vs served (cold + warm).
         let (n, m, s) = (40usize, 8usize, 60usize);
         let a: Matrix<f64> = random_matrix_seeded(n, m, 71);
         let c0 = SymMatrix::<f64>::zeros(n);
-        let space = syrk_tuning_space(n, s, SyrkAlgorithm::TbsTiled);
         let mut direct_c = c0.clone();
-        let direct = syrk_out_of_core_autotuned(
-            &a,
-            &mut direct_c,
-            1.0,
+        let mut probe = c0.clone();
+        let opts = tuned(
+            &Job::Syrk {
+                a: &a,
+                c: &mut probe,
+                alpha: 1.0,
+                algorithm: SyrkAlgorithm::TbsTiled,
+            },
             s,
-            SyrkAlgorithm::TbsTiled,
-            &space,
-            &model,
+            model,
+        );
+        let direct = run(
+            Job::Syrk {
+                a: &a,
+                c: &mut direct_c,
+                alpha: 1.0,
+                algorithm: SyrkAlgorithm::TbsTiled,
+            },
+            &opts,
         )
         .unwrap();
         for expect in [PlanSource::Compiled, PlanSource::Memory] {
             let mut c = c0.clone();
             let run = service
-                .syrk_autotuned(&a, &mut c, 1.0, s, SyrkAlgorithm::TbsTiled, &space, &model)
+                .run(
+                    Job::Syrk {
+                        a: &a,
+                        c: &mut c,
+                        alpha: 1.0,
+                        algorithm: SyrkAlgorithm::TbsTiled,
+                    },
+                    &opts,
+                )
                 .unwrap();
             assert_eq!(run.source, expect);
             assert!(c == direct_c, "served autotuned bitwise ({expect:?})");
-            assert_eq!(run.stats, direct.run.report.stats, "{expect:?}");
+            assert_eq!(run.stats, direct.report.stats, "{expect:?}");
         }
         assert_eq!(service.stats().compiles, 1, "the search ran exactly once");
 
         // A different model fingerprint is a different plan.
-        let dram_key = PlanService::<f64>::syrk_autotuned_key(
-            n,
-            m,
-            1.0,
-            s,
-            SyrkAlgorithm::TbsTiled,
-            &space,
-            &MachineModel::dram(),
+        let dram_opts = RunOptions {
+            model: Some(MachineModel::dram()),
+            ..opts.clone()
+        };
+        let dram_key = PlanService::<f64>::key(
+            &Job::Syrk {
+                a: &a,
+                c: &mut probe,
+                alpha: 1.0,
+                algorithm: SyrkAlgorithm::TbsTiled,
+            },
+            &dram_opts,
         );
-        let nvme_key = PlanService::<f64>::syrk_autotuned_key(
-            n,
-            m,
-            1.0,
-            s,
-            SyrkAlgorithm::TbsTiled,
-            &space,
-            &model,
+        let nvme_key = PlanService::<f64>::key(
+            &Job::Syrk {
+                a: &a,
+                c: &mut probe,
+                alpha: 1.0,
+                algorithm: SyrkAlgorithm::TbsTiled,
+            },
+            &opts,
         );
         assert_ne!(dram_key.content_hash(), nvme_key.content_hash());
 
-        // Cholesky and GEMM serve paths replay their direct twins bitwise.
+        // Cholesky and GEMM serve paths replay their direct runs bitwise.
         let (cn, cs) = (30usize, 28usize);
         let spd: SymMatrix<f64> = random_spd_seeded(cn, 72);
-        let chol_space = cholesky_tuning_space(cn, cs, CholeskyAlgorithm::Lbc);
-        let (direct_factor, _) =
-            cholesky_out_of_core_autotuned(&spd, cs, CholeskyAlgorithm::Lbc, &chol_space, &model)
-                .unwrap();
-        let (served_factor, _) = service
-            .cholesky_autotuned(&spd, cs, CholeskyAlgorithm::Lbc, &chol_space, &model)
-            .unwrap();
+        let chol = || Job::Cholesky {
+            a: &spd,
+            algorithm: CholeskyAlgorithm::Lbc,
+        };
+        let chol_opts = tuned(&chol(), cs, model);
+        let direct_factor = run(chol(), &chol_opts).unwrap().factor;
+        let served_factor = service.run(chol(), &chol_opts).unwrap().factor;
         assert!(served_factor == direct_factor);
 
         let (gn, gm, gp, gs) = (18usize, 7usize, 13usize, 30usize);
         let ga: Matrix<f64> = random_matrix_seeded(gn, gm, 73);
         let gb: Matrix<f64> = random_matrix_seeded(gm, gp, 74);
         let gc0: Matrix<f64> = random_matrix_seeded(gn, gp, 75);
-        let gemm_space = gemm_tuning_space(gs);
+        let mut gemm_probe = gc0.clone();
+        let gemm_opts = tuned(
+            &Job::Gemm {
+                a: &ga,
+                b: &gb,
+                c: &mut gemm_probe,
+                alpha: 0.5,
+            },
+            gs,
+            model,
+        );
         let mut direct_gc = gc0.clone();
-        gemm_out_of_core_autotuned(&ga, &gb, &mut direct_gc, 0.5, gs, &gemm_space, &model).unwrap();
+        run(
+            Job::Gemm {
+                a: &ga,
+                b: &gb,
+                c: &mut direct_gc,
+                alpha: 0.5,
+            },
+            &gemm_opts,
+        )
+        .unwrap();
         let mut served_gc = gc0.clone();
         service
-            .gemm_autotuned(&ga, &gb, &mut served_gc, 0.5, gs, &gemm_space, &model)
+            .run(
+                Job::Gemm {
+                    a: &ga,
+                    b: &gb,
+                    c: &mut served_gc,
+                    alpha: 0.5,
+                },
+                &gemm_opts,
+            )
             .unwrap();
         assert!(served_gc == direct_gc);
     }
@@ -1286,9 +847,19 @@ mod tests {
     #[test]
     fn plan_methods_expose_replayable_plans() {
         let service = PlanService::<f64>::in_memory();
-        let lookup = service
-            .syrk_plan(24, 6, 1.0, 40, SyrkAlgorithm::Tbs, &PassPipeline::none(), 2)
-            .unwrap();
+        let a = Matrix::<f64>::zeros(24, 6);
+        let mut c = SymMatrix::zeros(24);
+        let job = Job::Syrk {
+            a: &a,
+            c: &mut c,
+            alpha: 1.0,
+            algorithm: SyrkAlgorithm::Tbs,
+        };
+        let opts = RunOptions {
+            lookahead: 2,
+            ..RunOptions::new(40)
+        };
+        let lookup = service.plan(&job, &opts).unwrap();
         // The cached plan carries the compiled prefetch plan and its binary
         // form; a caller can dry-run it without touching real data.
         assert!(lookup.plan.prefetch().is_some());

@@ -228,7 +228,7 @@ impl PrefetchPlan {
 
     /// [`PrefetchPlan::plan`], skipped at lookahead 0: the boundary-free
     /// empty plan, which replays identically and costs nothing to build.
-    pub(crate) fn for_lookahead<T: Scalar>(
+    pub fn for_lookahead<T: Scalar>(
         schedule: &Schedule<T>,
         lookahead: usize,
         capacity: Option<usize>,

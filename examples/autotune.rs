@@ -9,14 +9,13 @@
 //! Dry runs give exact [`IoStats`] and the timing model prices them in
 //! deterministic nanoseconds, so the [`Tuner`] can afford an exhaustive
 //! sweep: each candidate is built, optimized, prefetch-planned and priced —
-//! but never run. The `*_out_of_core_autotuned` twins then execute the
-//! winner exactly as scored; the measured stats must equal the dry-run
+//! but never run. A `run` with a tuning space then executes the winner
+//! exactly as scored; the measured stats must equal the dry-run
 //! stats field for field, and the result is bit-identical to the plain
 //! API's (the default spaces only sweep tile overrides that re-chunk, never
 //! reorder, accumulation chains).
 
 use symla::prelude::*;
-use symla_core::api::{cholesky_out_of_core_autotuned, syrk_out_of_core_autotuned};
 
 fn main() {
     let model = MachineModel::nvme();
@@ -38,19 +37,29 @@ fn main() {
         SyrkAlgorithm::TbsTiled,
         SyrkAlgorithm::SquareBlocks,
     ] {
-        let space = syrk_tuning_space(n, s, algorithm);
         let mut c = SymMatrix::<f64>::zeros(n);
-        let run = syrk_out_of_core_autotuned(&a, &mut c, 1.0, s, algorithm, &space, &model)
-            .expect("autotune");
-        let winner = run.tuning.winner();
+        let job = Job::Syrk {
+            a: &a,
+            c: &mut c,
+            alpha: 1.0,
+            algorithm,
+        };
+        let opts = RunOptions {
+            model: Some(model),
+            tuning: Some(job.tuning_space(s)),
+            ..RunOptions::new(s)
+        };
+        let outcome = run(job, &opts).expect("autotune");
+        let tuning = outcome.tuning.expect("a tuned run reports its search");
+        let winner = tuning.winner();
 
         // The replay measured exactly what the tuner scored by dry run.
-        assert_eq!(run.run.report.stats, winner.stats);
+        assert_eq!(outcome.report.stats, winner.stats);
 
         println!(
             "{:<14} {:>9} {:>6} {:<18} {:>2} {:>13.1} {:>7.3}x",
             format!("{algorithm:?}"),
-            format!("{}+{}", run.tuning.evaluated(), run.tuning.skipped),
+            format!("{}+{}", tuning.evaluated(), tuning.skipped),
             match winner.config.tile {
                 Some(t) => t.to_string(),
                 None => "auto".to_string(),
@@ -65,16 +74,27 @@ fn main() {
     // --- Cholesky: the tuned factor is still bit-identical. ------------
     let (cn, cs) = (48usize, 80usize);
     let spd = generate::random_spd_seeded::<f64>(cn, 22);
-    let (l_plain, _) = cholesky_out_of_core(&spd, cs, CholeskyAlgorithm::Lbc).unwrap();
-    let space = cholesky_tuning_space(cn, cs, CholeskyAlgorithm::Lbc);
-    let (l_tuned, run) =
-        cholesky_out_of_core_autotuned(&spd, cs, CholeskyAlgorithm::Lbc, &space, &model).unwrap();
-    assert!(l_tuned == l_plain, "tuned factor must be bit-identical");
-    let winner = run.tuning.winner();
+    let lbc = || Job::Cholesky {
+        a: &spd,
+        algorithm: CholeskyAlgorithm::Lbc,
+    };
+    let l_plain = run(lbc(), &RunOptions::new(cs)).unwrap().factor;
+    let opts = RunOptions {
+        model: Some(model),
+        tuning: Some(lbc().tuning_space(cs)),
+        ..RunOptions::new(cs)
+    };
+    let outcome = run(lbc(), &opts).unwrap();
+    assert!(
+        outcome.factor == l_plain,
+        "tuned factor must be bit-identical"
+    );
+    let tuning = outcome.tuning.expect("a tuned run reports its search");
+    let winner = tuning.winner();
     println!();
     println!(
         "LBC Cholesky N = {cn}, S = {cs}: {} candidates scored without executing,",
-        run.tuning.evaluated()
+        tuning.evaluated()
     );
     println!(
         "winner {} at L = {} — {:.1} ns modelled, {:.3}x the paper's I/O bound,",

@@ -1,6 +1,6 @@
 //! Optimizing a schedule with the pass layer: build a seed schedule, run
 //! the stock pipelines, and read the per-pass accounting — then do the
-//! same through the one-call API and check the result is bitwise identical
+//! same through `run` and check the result is bitwise identical
 //! to the un-optimized run.
 //!
 //! ```text
@@ -8,7 +8,6 @@
 //! ```
 
 use symla::prelude::*;
-use symla_core::api::syrk_out_of_core_optimized;
 use symla_core::passes::PassPipeline;
 
 fn main() {
@@ -53,18 +52,26 @@ fn main() {
     // --- 3. The same through the one-call API: bitwise-equal results. ---
     let a = generate::random_matrix_seeded::<f64>(n, m, 7);
     let mut c_plain = SymMatrix::<f64>::zeros(n);
-    let report = syrk_out_of_core(&a, &mut c_plain, 1.0, s, SyrkAlgorithm::TbsTiled).unwrap();
+    let job = Job::Syrk {
+        a: &a,
+        c: &mut c_plain,
+        alpha: 1.0,
+        algorithm: SyrkAlgorithm::TbsTiled,
+    };
+    let report = run(job, &RunOptions::new(s)).unwrap().report;
 
     let mut c_opt = SymMatrix::<f64>::zeros(n);
-    let run = syrk_out_of_core_optimized(
-        &a,
-        &mut c_opt,
-        1.0,
-        s,
-        SyrkAlgorithm::TbsTiled,
-        &PassPipeline::standard(),
-    )
-    .unwrap();
+    let job = Job::Syrk {
+        a: &a,
+        c: &mut c_opt,
+        alpha: 1.0,
+        algorithm: SyrkAlgorithm::TbsTiled,
+    };
+    let opts = RunOptions {
+        pipeline: PassPipeline::standard(),
+        ..RunOptions::new(s)
+    };
+    let run = run(job, &opts).unwrap();
 
     assert!(
         c_opt.approx_eq(&c_plain, 0.0),

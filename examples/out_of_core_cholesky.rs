@@ -60,7 +60,11 @@ fn main() {
     println!("      total         {:>12.0}\n", breakdown.total());
 
     // Comparison against the baseline and the bounds.
-    let (_, bereux) = cholesky_out_of_core(&a, s, CholeskyAlgorithm::Bereux).expect("baseline");
+    let job = Job::Cholesky {
+        a: &a,
+        algorithm: CholeskyAlgorithm::Bereux,
+    };
+    let bereux = run(job, &RunOptions::new(s)).expect("baseline").report;
     let lb = bounds::cholesky_lower_bound(n as f64, s as f64);
     println!("comparison (loads):");
     println!("  LBC                {:>12}", stats.volume.loads);

@@ -15,7 +15,6 @@
 //! peak residency never exceeds `S` — the planner only spends slack.
 
 use symla::prelude::*;
-use symla_core::api::syrk_out_of_core_prefetched;
 
 fn main() {
     let n = 96;
@@ -38,16 +37,17 @@ fn main() {
         let mut baseline = None;
         for lookahead in [0usize, 1, 2] {
             let mut c = SymMatrix::<f64>::zeros(n);
-            let run = syrk_out_of_core_prefetched(
-                &a,
-                &mut c,
-                1.0,
-                s,
+            let job = Job::Syrk {
+                a: &a,
+                c: &mut c,
+                alpha: 1.0,
                 algorithm,
-                &PassPipeline::none(),
+            };
+            let opts = RunOptions {
                 lookahead,
-            )
-            .expect("schedule must run");
+                ..RunOptions::new(s)
+            };
+            let run = run(job, &opts).expect("schedule must run");
             let stats = &run.report.stats;
             assert!(stats.peak_resident <= s, "prefetch must respect S");
             match &baseline {

@@ -24,7 +24,15 @@ fn main() {
         SyrkAlgorithm::Tbs,
     ] {
         let mut c = c_before.clone();
-        let report = syrk_out_of_core(&a, &mut c, 1.0, s, algo).expect("schedule failed");
+        let job = Job::Syrk {
+            a: &a,
+            c: &mut c,
+            alpha: 1.0,
+            algorithm: algo,
+        };
+        let report = run(job, &RunOptions::new(s))
+            .expect("schedule failed")
+            .report;
         // verify against the in-memory reference kernel
         let residual = kernels::syrk_residual(1.0, &a, 1.0, &c_before, &c);
         println!(
@@ -57,7 +65,12 @@ fn main() {
         CholeskyAlgorithm::LbcTiled,
         CholeskyAlgorithm::Lbc,
     ] {
-        let (l, report) = cholesky_out_of_core(&spd, s, algo).expect("factorization failed");
+        let job = Job::Cholesky {
+            a: &spd,
+            algorithm: algo,
+        };
+        let outcome = run(job, &RunOptions::new(s)).expect("factorization failed");
+        let (l, report) = (outcome.factor.unwrap(), outcome.report);
         let residual = kernels::cholesky_residual(&spd, &l);
         println!(
             "{:<22} loads {:>9}  stores {:>9}  peak {:>3}  loads/lower-bound {:>6.3}  residual {:.1e}",

@@ -30,7 +30,13 @@ fn main() {
             SyrkAlgorithm::Tbs,
         ] {
             let mut c = zero.clone();
-            let report = syrk_out_of_core(&a, &mut c, 1.0, s, algo).expect("run failed");
+            let job = Job::Syrk {
+                a: &a,
+                c: &mut c,
+                alpha: 1.0,
+                algorithm: algo,
+            };
+            let report = run(job, &RunOptions::new(s)).expect("run failed").report;
             assert!(report.prediction_matches());
             loads.push(report.measured_loads());
         }

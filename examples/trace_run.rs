@@ -12,14 +12,13 @@
 //! consumes it) into the working directory. Open either file at
 //! <https://ui.perfetto.dev> — no conversion needed.
 //!
-//! Observation changes nothing: the traced twins return bitwise the same
-//! results and `IoStats` as the unobserved entry points, and the modelled
+//! Observation changes nothing: a traced run returns bitwise the same
+//! results and `IoStats` as an unobserved one, and the modelled
 //! timestamps on every event are the wall-clock model of section 7 of
 //! `docs/ARCHITECTURE.md`, bit for bit (both facts CI-gated by
 //! `ab_obs --smoke`).
 
 use symla::prelude::*;
-use symla_core::api::syrk_out_of_core_traced;
 use symla_core::parallel::{parallel_syrk_traced, BlockStrategy};
 
 fn main() {
@@ -30,39 +29,41 @@ fn main() {
     let a = generate::random_matrix_seeded::<f64>(n, m, 11);
     let mut c = SymMatrix::<f64>::zeros(n);
     let recorder = TraceRecorder::new();
-    let (run, traced) = syrk_out_of_core_traced(
-        &a,
-        &mut c,
-        1.0,
-        s,
-        SyrkAlgorithm::TbsTiled,
-        &PassPipeline::standard(),
-        2,
-        &model,
-        &recorder,
-    )
-    .unwrap();
+    let job = Job::Syrk {
+        a: &a,
+        c: &mut c,
+        alpha: 1.0,
+        algorithm: SyrkAlgorithm::TbsTiled,
+    };
+    let opts = RunOptions {
+        pipeline: PassPipeline::standard(),
+        lookahead: 2,
+        model: Some(model),
+        recorder: Some(&recorder),
+        ..RunOptions::new(s)
+    };
+    let run = run(job, &opts).unwrap();
+    let trace = recorder.finish();
+    let metrics = run.metrics(format!("TBS(tiled) n={n} m={m} S={s} L=2"));
 
     // Two clocks per event; the modelled one is the static price, bitwise.
-    assert!(traced.clock.consistent());
-    let export = traced
-        .trace
-        .to_chrome_trace(&[TimeBase::Measured, TimeBase::Modelled]);
+    assert!(run.clock.unwrap().consistent());
+    let export = trace.to_chrome_trace(&[TimeBase::Measured, TimeBase::Modelled]);
     std::fs::write("trace_serial.json", &export).unwrap();
     println!(
         "serial  TbsTiled N={n} M={m} S={s} L=2: {} events, {} loads hidden behind compute",
-        traced.trace.len(),
+        trace.len(),
         run.report.stats.prefetched_elements,
     );
     println!("        wrote trace_serial.json ({} bytes)", export.len());
 
     // The report mirrors the engine's accounting exactly.
     assert_eq!(
-        traced.report.registry.counter("engine.loads.elements"),
+        metrics.registry.counter("engine.loads.elements"),
         run.report.stats.volume.loads as u128,
     );
     println!();
-    println!("{}", traced.report.to_json());
+    println!("{}", metrics.to_json());
     println!();
 
     // --- Parallel: P = 4 workers, one timeline track each. ---------------

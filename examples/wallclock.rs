@@ -17,7 +17,6 @@
 //! lookahead's speedup comes from.
 
 use symla::prelude::*;
-use symla_core::api::syrk_out_of_core_timed;
 
 fn main() {
     let n = 96;
@@ -40,17 +39,18 @@ fn main() {
         let mut serial_ns = 0.0;
         for lookahead in [0usize, 1, 2] {
             let mut c = SymMatrix::<f64>::zeros(n);
-            let (_, wall) = syrk_out_of_core_timed(
-                &a,
-                &mut c,
-                1.0,
-                s,
+            let job = Job::Syrk {
+                a: &a,
+                c: &mut c,
+                alpha: 1.0,
                 algorithm,
-                &PassPipeline::default(),
+            };
+            let opts = RunOptions {
                 lookahead,
-                &model,
-            )
-            .unwrap();
+                model: Some(model),
+                ..RunOptions::new(s)
+            };
+            let wall = run(job, &opts).unwrap().clock.unwrap();
 
             // The static price and the measured model time agree bitwise.
             assert!(wall.consistent());

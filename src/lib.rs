@@ -21,10 +21,15 @@
 //! * [`baselines`] (`symla-baselines`) — Béreux's out-of-core SYRK / TRSM /
 //!   Cholesky and the GEMM / LU comparison points;
 //! * [`core`] (`symla-core`) — the paper's TBS and LBC schedules, lower
-//!   bounds, planners, the operational-intensity analysis and the high-level
-//!   API.
+//!   bounds, planners, the operational-intensity analysis and the
+//!   `run(Job, &RunOptions)` front door.
 //!
 //! ## Quick start
+//!
+//! Every kernel runs through one front door: a [`core::api::Job`] names the
+//! kernel, its operands and its schedule; [`core::api::RunOptions`] say how
+//! to run it; [`core::api::run`] (or `PlanService::run`, which caches the
+//! compiled plan) returns the result with its report.
 //!
 //! ```
 //! use symla::prelude::*;
@@ -32,7 +37,9 @@
 //! // An out-of-core Cholesky factorization of a 64x64 SPD matrix with a
 //! // fast memory of only 55 elements, using the paper's LBC schedule.
 //! let a = symla::matrix::generate::random_spd_seeded::<f64>(64, 42);
-//! let (l, report) = cholesky_out_of_core(&a, 55, CholeskyAlgorithm::Lbc).unwrap();
+//! let job = Job::Cholesky { a: &a, algorithm: CholeskyAlgorithm::Lbc };
+//! let outcome = run(job, &RunOptions::new(55)).unwrap();
+//! let (l, report) = (outcome.factor.unwrap(), outcome.report);
 //! assert!(symla::matrix::kernels::cholesky_residual(&a, &l) < 1e-9);
 //! // The measured traffic respects the paper's lower bound ...
 //! assert!(report.measured_loads() as f64 >= report.lower_bound);
@@ -50,6 +57,11 @@ pub use symla_obs as obs;
 pub use symla_plancache as plancache;
 pub use symla_sched as sched;
 
+/// The README's `rust` blocks, compiled and run as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
+
 /// The most commonly used items, re-exported for one-line imports.
 pub mod prelude {
     pub use symla_baselines::{
@@ -59,16 +71,8 @@ pub mod prelude {
     };
     pub use symla_core::{
         api::{
-            cholesky_out_of_core, cholesky_out_of_core_autotuned, cholesky_out_of_core_cached,
-            cholesky_out_of_core_optimized, cholesky_out_of_core_prefetched,
-            cholesky_out_of_core_timed, cholesky_out_of_core_traced, cholesky_tuning_space,
-            gemm_out_of_core, gemm_out_of_core_autotuned, gemm_out_of_core_cached,
-            gemm_out_of_core_optimized, gemm_out_of_core_prefetched, gemm_out_of_core_timed,
-            gemm_out_of_core_traced, gemm_tuning_space, syrk_out_of_core,
-            syrk_out_of_core_autotuned, syrk_out_of_core_cached, syrk_out_of_core_optimized,
-            syrk_out_of_core_prefetched, syrk_out_of_core_timed, syrk_out_of_core_traced,
-            syrk_tuning_space, AutotunedRun, CholeskyAlgorithm, OptimizedRun, RunReport,
-            SyrkAlgorithm, TracedRun, WallClock,
+            run, CholeskyAlgorithm, Job, RunOptions, RunOutcome, RunReport, SyrkAlgorithm,
+            WallClock,
         },
         bounds, lbc_cost, lbc_cost_breakdown, lbc_execute, lbc_schedule, oi, tbs_cost, tbs_execute,
         tbs_schedule, tbs_tiled_cost, tbs_tiled_execute, tbs_tiled_schedule, Engine, EngineConfig,

@@ -3,7 +3,7 @@
 //! * **Determinism** — the same builder, space, model and capacity always
 //!   produce an *identical* [`TuningReport`] (every candidate, every score,
 //!   the same winner), both through the raw [`Tuner`] and through the
-//!   high-level `*_autotuned` twins;
+//!   front door (`run` with a tuning space);
 //! * **Monotonicity** — enlarging the [`TuningSpace`] along any axis never
 //!   worsens the winner's modelled nanoseconds (the exhaustive search can
 //!   only gain options, never lose them);
@@ -69,26 +69,38 @@ fn tuning_is_deterministic() {
     assert_eq!(b1, b2, "beam search must be deterministic too");
 }
 
-/// Same inputs, same report — through the high-level autotuned twin.
+/// Same inputs, same report — through the front door's tuned run.
 #[test]
 fn high_level_autotuning_is_deterministic() {
     let (n, m, s) = (30usize, 6usize, 60usize);
     let a: Matrix<f64> = generate::random_matrix_seeded(n, m, 9100);
     let mut rng = generate::seeded_rng(9101);
     let c0: SymMatrix<f64> = generate::random_symmetric(n, &mut rng);
-    let space = syrk_tuning_space(n, s, SyrkAlgorithm::Tbs);
-    let model = MachineModel::nvme();
-
     let mut c1 = c0.clone();
-    let run1 = syrk_out_of_core_autotuned(&a, &mut c1, 1.0, s, SyrkAlgorithm::Tbs, &space, &model)
-        .unwrap();
+    let job = Job::Syrk {
+        a: &a,
+        c: &mut c1,
+        alpha: 1.0,
+        algorithm: SyrkAlgorithm::Tbs,
+    };
+    let opts = RunOptions {
+        model: Some(MachineModel::nvme()),
+        tuning: Some(job.tuning_space(s)),
+        ..RunOptions::new(s)
+    };
+    let run1 = run(job, &opts).unwrap();
     let mut c2 = c0.clone();
-    let run2 = syrk_out_of_core_autotuned(&a, &mut c2, 1.0, s, SyrkAlgorithm::Tbs, &space, &model)
-        .unwrap();
+    let job = Job::Syrk {
+        a: &a,
+        c: &mut c2,
+        alpha: 1.0,
+        algorithm: SyrkAlgorithm::Tbs,
+    };
+    let run2 = run(job, &opts).unwrap();
     assert_eq!(run1.tuning, run2.tuning, "report reproduces");
     assert_eq!(c1, c2, "result reproduces bitwise");
     assert_eq!(
-        run1.run.report.stats, run2.run.report.stats,
+        run1.report.stats, run2.report.stats,
         "measured stats reproduce"
     );
 }

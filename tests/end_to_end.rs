@@ -21,7 +21,13 @@ fn syrk_all_algorithms_agree_with_reference_and_bounds() {
         SyrkAlgorithm::Tbs,
     ] {
         let mut c = c0.clone();
-        let report = syrk_out_of_core(&a, &mut c, 1.0, s, algo).unwrap();
+        let job = Job::Syrk {
+            a: &a,
+            c: &mut c,
+            alpha: 1.0,
+            algorithm: algo,
+        };
+        let report = run(job, &RunOptions::new(s)).unwrap().report;
         assert!(c.approx_eq(&expected, 1e-9), "{} wrong result", algo.name());
         assert!(report.prediction_matches(), "{} prediction", algo.name());
         assert!(report.stats.peak_resident <= s, "{} capacity", algo.name());
@@ -55,7 +61,12 @@ fn cholesky_all_algorithms_agree_with_reference_and_bounds() {
         CholeskyAlgorithm::LbcTiled,
         CholeskyAlgorithm::Lbc,
     ] {
-        let (l, report) = cholesky_out_of_core(&a, s, algo).unwrap();
+        let job = Job::Cholesky {
+            a: &a,
+            algorithm: algo,
+        };
+        let outcome = run(job, &RunOptions::new(s)).unwrap();
+        let (l, report) = (outcome.factor.unwrap(), outcome.report);
         assert!(
             l.approx_eq(&reference, 1e-7),
             "{} factor differs from reference",
@@ -77,13 +88,24 @@ fn works_in_single_precision_too() {
     let n = 48;
     let s = 21;
     let a32 = generate::random_spd_seeded::<f32>(n, 33);
-    let (l, report) = cholesky_out_of_core(&a32, s, CholeskyAlgorithm::Lbc).unwrap();
+    let job = Job::Cholesky {
+        a: &a32,
+        algorithm: CholeskyAlgorithm::Lbc,
+    };
+    let outcome = run(job, &RunOptions::new(s)).unwrap();
+    let (l, report) = (outcome.factor.unwrap(), outcome.report);
     assert!(kernels::cholesky_residual(&a32, &l) < 1e-3);
     assert!(report.prediction_matches());
 
     let a = generate::random_matrix_seeded::<f32>(n, 16, 34);
     let mut c = SymMatrix::<f32>::zeros(n);
-    let report = syrk_out_of_core(&a, &mut c, 1.0, s, SyrkAlgorithm::TbsTiled).unwrap();
+    let job = Job::Syrk {
+        a: &a,
+        c: &mut c,
+        alpha: 1.0,
+        algorithm: SyrkAlgorithm::TbsTiled,
+    };
+    let report = run(job, &RunOptions::new(s)).unwrap().report;
     assert!(report.prediction_matches());
     let mut expected = SymMatrix::<f32>::zeros(n);
     kernels::syrk_sym(1.0_f32, &a, 1.0, &mut expected).unwrap();

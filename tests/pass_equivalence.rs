@@ -297,14 +297,21 @@ fn api_clamps_pipeline_budget_to_machine_capacity() {
     // budget to `s`.
     let (n, s) = (40, 60);
     let spd = random_spd_seeded::<f64>(n, 10);
-    let (l_plain, _) = cholesky_out_of_core(&spd, s, CholeskyAlgorithm::Lbc).unwrap();
-    let (l_opt, run) = cholesky_out_of_core_optimized(
-        &spd,
-        s,
-        CholeskyAlgorithm::Lbc,
-        &PassPipeline::locality(Some(100 * s)),
-    )
-    .unwrap();
+    let job = Job::Cholesky {
+        a: &spd,
+        algorithm: CholeskyAlgorithm::Lbc,
+    };
+    let l_plain = run(job, &RunOptions::new(s)).unwrap().factor.unwrap();
+    let job = Job::Cholesky {
+        a: &spd,
+        algorithm: CholeskyAlgorithm::Lbc,
+    };
+    let opts = RunOptions {
+        pipeline: PassPipeline::locality(Some(100 * s)),
+        ..RunOptions::new(s)
+    };
+    let run = run(job, &opts).unwrap();
+    let l_opt = run.factor.clone().unwrap();
     assert!(
         l_opt.approx_eq(&l_plain, 0.0),
         "results must stay bitwise equal"

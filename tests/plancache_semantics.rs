@@ -22,17 +22,19 @@ fn hits_execute_bitwise_identically_with_zero_planner_work() {
     let tmp = tempdir("bitwise");
     let service = PlanService::<f64>::new(PlanCacheConfig::default().with_disk_dir(&tmp)).unwrap();
 
+    let opts = RunOptions {
+        pipeline: PassPipeline::standard(),
+        lookahead: 1,
+        ..RunOptions::new(s)
+    };
     let mut direct = SymMatrix::zeros(n);
-    let run = syrk_out_of_core_prefetched(
-        &a,
-        &mut direct,
-        2.0,
-        s,
-        SyrkAlgorithm::TbsTiled,
-        &PassPipeline::standard(),
-        1,
-    )
-    .unwrap();
+    let job = Job::Syrk {
+        a: &a,
+        c: &mut direct,
+        alpha: 2.0,
+        algorithm: SyrkAlgorithm::TbsTiled,
+    };
+    let run = run(job, &opts).unwrap();
 
     for (round, want) in [
         (0, PlanSource::Compiled),
@@ -40,17 +42,13 @@ fn hits_execute_bitwise_identically_with_zero_planner_work() {
         (2, PlanSource::Memory),
     ] {
         let mut served = SymMatrix::zeros(n);
-        let serve = syrk_out_of_core_cached(
-            &service,
-            &a,
-            &mut served,
-            2.0,
-            s,
-            SyrkAlgorithm::TbsTiled,
-            &PassPipeline::standard(),
-            1,
-        )
-        .unwrap();
+        let job = Job::Syrk {
+            a: &a,
+            c: &mut served,
+            alpha: 2.0,
+            algorithm: SyrkAlgorithm::TbsTiled,
+        };
+        let serve = service.run(job, &opts).unwrap();
         assert_eq!(serve.source, want, "round {round}");
         assert!(served == direct, "round {round}: bitwise identity");
         assert_eq!(serve.stats.volume, run.report.stats.volume, "round {round}");
@@ -68,17 +66,13 @@ fn hits_execute_bitwise_identically_with_zero_planner_work() {
     // still no compile, still bitwise-identical.
     let revived = PlanService::<f64>::new(PlanCacheConfig::default().with_disk_dir(&tmp)).unwrap();
     let mut served = SymMatrix::zeros(n);
-    let serve = revived
-        .syrk(
-            &a,
-            &mut served,
-            2.0,
-            s,
-            SyrkAlgorithm::TbsTiled,
-            &PassPipeline::standard(),
-            1,
-        )
-        .unwrap();
+    let job = Job::Syrk {
+        a: &a,
+        c: &mut served,
+        alpha: 2.0,
+        algorithm: SyrkAlgorithm::TbsTiled,
+    };
+    let serve = revived.run(job, &opts).unwrap();
     assert_eq!(serve.source, PlanSource::Disk);
     assert!(served == direct, "disk-revived plan: bitwise identity");
     assert_eq!(revived.stats().compiles, 0, "disk hit must not compile");
@@ -92,7 +86,11 @@ fn hits_execute_bitwise_identically_with_zero_planner_work() {
 fn single_flight_compiles_once_under_concurrent_misses() {
     let (n, s) = (36usize, 48usize);
     let a = symla::matrix::generate::random_spd_seeded::<f64>(n, 72);
-    let (reference, _) = cholesky_out_of_core(&a, s, CholeskyAlgorithm::Lbc).unwrap();
+    let job = Job::Cholesky {
+        a: &a,
+        algorithm: CholeskyAlgorithm::Lbc,
+    };
+    let reference = run(job, &RunOptions::new(s)).unwrap().factor.unwrap();
 
     let service: Arc<PlanService<f64>> = Arc::new(PlanService::in_memory());
     let threads = 8usize;
@@ -108,10 +106,20 @@ fn single_flight_compiles_once_under_concurrent_misses() {
             let reference = &reference;
             scope.spawn(move || {
                 barrier.wait();
-                let (factor, run) = service
-                    .cholesky(a, s, CholeskyAlgorithm::Lbc, &PassPipeline::standard(), 1)
-                    .unwrap();
-                assert!(&factor == reference, "served factor diverged");
+                let job = Job::Cholesky {
+                    a,
+                    algorithm: CholeskyAlgorithm::Lbc,
+                };
+                let opts = RunOptions {
+                    pipeline: PassPipeline::standard(),
+                    lookahead: 1,
+                    ..RunOptions::new(s)
+                };
+                let run = service.run(job, &opts).unwrap();
+                assert!(
+                    run.factor.as_ref() == Some(reference),
+                    "served factor diverged"
+                );
                 if run.source == PlanSource::Compiled {
                     compiled_seen.fetch_add(1, Ordering::Relaxed);
                 }
@@ -134,10 +142,21 @@ fn single_flight_compiles_once_under_concurrent_misses() {
 /// byte budget; evicted keys recompile, resident keys still hit.
 #[test]
 fn lru_respects_byte_budget_end_to_end() {
+    let a = Matrix::<f64>::zeros(30, 5);
+    let mut c = SymMatrix::<f64>::zeros(30);
+    let opts = RunOptions::new(40);
     let plan_size = {
         let probe = PlanService::<f64>::in_memory();
         let lookup = probe
-            .syrk_plan(30, 5, 1.0, 40, SyrkAlgorithm::Tbs, &PassPipeline::none(), 0)
+            .plan(
+                &Job::Syrk {
+                    a: &a,
+                    c: &mut c,
+                    alpha: 1.0,
+                    algorithm: SyrkAlgorithm::Tbs,
+                },
+                &opts,
+            )
             .unwrap();
         lookup.plan.byte_len()
     };
@@ -155,14 +174,14 @@ fn lru_respects_byte_budget_end_to_end() {
     // evicted by the third.
     for alpha in [1.0f64, 2.0, 3.0] {
         service
-            .syrk_plan(
-                30,
-                5,
-                alpha,
-                40,
-                SyrkAlgorithm::Tbs,
-                &PassPipeline::none(),
-                0,
+            .plan(
+                &Job::Syrk {
+                    a: &a,
+                    c: &mut c,
+                    alpha,
+                    algorithm: SyrkAlgorithm::Tbs,
+                },
+                &opts,
             )
             .unwrap();
     }
@@ -175,11 +194,27 @@ fn lru_respects_byte_budget_end_to_end() {
 
     // The newest key is still a hit; the oldest recompiles.
     let newest = service
-        .syrk_plan(30, 5, 3.0, 40, SyrkAlgorithm::Tbs, &PassPipeline::none(), 0)
+        .plan(
+            &Job::Syrk {
+                a: &a,
+                c: &mut c,
+                alpha: 3.0,
+                algorithm: SyrkAlgorithm::Tbs,
+            },
+            &opts,
+        )
         .unwrap();
     assert_eq!(newest.source, PlanSource::Memory);
     let oldest = service
-        .syrk_plan(30, 5, 1.0, 40, SyrkAlgorithm::Tbs, &PassPipeline::none(), 0)
+        .plan(
+            &Job::Syrk {
+                a: &a,
+                c: &mut c,
+                alpha: 1.0,
+                algorithm: SyrkAlgorithm::Tbs,
+            },
+            &opts,
+        )
         .unwrap();
     assert_eq!(oldest.source, PlanSource::Compiled);
 }
@@ -195,57 +230,67 @@ fn disk_tier_survives_cache_drop_across_kernels() {
     let c0 = symla::matrix::generate::random_matrix_seeded::<f64>(n, p, 75);
     let tmp = tempdir("disk-tier");
 
+    let opts = RunOptions {
+        pipeline: PassPipeline::standard(),
+        lookahead: 2,
+        ..RunOptions::new(s)
+    };
     let mut reference = c0.clone();
-    gemm_out_of_core_prefetched(&a, &b, &mut reference, 1.0, s, &PassPipeline::standard(), 2)
-        .unwrap();
+    let job = Job::Gemm {
+        a: &a,
+        b: &b,
+        c: &mut reference,
+        alpha: 1.0,
+    };
+    run(job, &opts).unwrap();
 
     {
         let service =
             PlanService::<f64>::new(PlanCacheConfig::default().with_disk_dir(&tmp)).unwrap();
         let mut c = c0.clone();
-        let run = gemm_out_of_core_cached(
-            &service,
-            &a,
-            &b,
-            &mut c,
-            1.0,
-            s,
-            &PassPipeline::standard(),
-            2,
-        )
-        .unwrap();
+        let run = service
+            .run(
+                Job::Gemm {
+                    a: &a,
+                    b: &b,
+                    c: &mut c,
+                    alpha: 1.0,
+                },
+                &opts,
+            )
+            .unwrap();
         assert_eq!(run.source, PlanSource::Compiled);
         assert_eq!(service.stats().disk_writes, 1, "{}", service.stats());
     } // service (and its memory tier) dropped here
 
     let revived = PlanService::<f64>::new(PlanCacheConfig::default().with_disk_dir(&tmp)).unwrap();
     let mut c = c0.clone();
-    let run = gemm_out_of_core_cached(
-        &revived,
-        &a,
-        &b,
-        &mut c,
-        1.0,
-        s,
-        &PassPipeline::standard(),
-        2,
-    )
-    .unwrap();
+    let run = revived
+        .run(
+            Job::Gemm {
+                a: &a,
+                b: &b,
+                c: &mut c,
+                alpha: 1.0,
+            },
+            &opts,
+        )
+        .unwrap();
     assert_eq!(run.source, PlanSource::Disk);
     assert!(c == reference, "disk-revived GEMM plan: bitwise identity");
     // Once promoted, the next lookup is a memory hit.
     let mut c = c0.clone();
-    let run = gemm_out_of_core_cached(
-        &revived,
-        &a,
-        &b,
-        &mut c,
-        1.0,
-        s,
-        &PassPipeline::standard(),
-        2,
-    )
-    .unwrap();
+    let run = revived
+        .run(
+            Job::Gemm {
+                a: &a,
+                b: &b,
+                c: &mut c,
+                alpha: 1.0,
+            },
+            &opts,
+        )
+        .unwrap();
     assert_eq!(run.source, PlanSource::Memory);
     assert_eq!(revived.stats().compiles, 0);
 

@@ -29,7 +29,13 @@ fn syrk_schedules_are_correct_for_random_sizes() {
             SyrkAlgorithm::Tbs,
         ] {
             let mut c = c0.clone();
-            let report = syrk_out_of_core(&a, &mut c, -1.0, s, algo).unwrap();
+            let job = Job::Syrk {
+                a: &a,
+                c: &mut c,
+                alpha: -1.0,
+                algorithm: algo,
+            };
+            let report = run(job, &RunOptions::new(s)).unwrap().report;
             let ctx = format!("case {case}: {} n={n} m={m} s={s} seed={seed}", algo.name());
             assert!(c.approx_eq(&expected, 1e-9), "{ctx}: result");
             assert!(report.prediction_matches(), "{ctx}: prediction");
@@ -57,7 +63,12 @@ fn cholesky_schedules_are_correct_for_random_sizes() {
             CholeskyAlgorithm::LbcTiled,
             CholeskyAlgorithm::LbcSquare,
         ] {
-            let (l, report) = cholesky_out_of_core(&a, s, algo).unwrap();
+            let job = Job::Cholesky {
+                a: &a,
+                algorithm: algo,
+            };
+            let outcome = run(job, &RunOptions::new(s)).unwrap();
+            let (l, report) = (outcome.factor.unwrap(), outcome.report);
             let ctx = format!("case {case}: {} n={n} s={s} seed={seed}", algo.name());
             assert!(kernels::cholesky_residual(&a, &l) < 1e-8, "{ctx}");
             assert!(report.prediction_matches(), "{ctx}");

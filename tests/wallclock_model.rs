@@ -16,8 +16,8 @@
 //! 4. **positive speedup** — tiled TBS and OOC-GEMM (the update-style
 //!    kernels, whose groups leave slack) hide strictly positive time
 //!    already at `lookahead = 1`;
-//! 5. **timed API** — the one-call `*_out_of_core_timed` entry points
-//!    report `WallClock::consistent()` and reproduce the untimed results.
+//! 5. **timed API** — `run` with a model set reports
+//!    `WallClock::consistent()` and reproduces the untimed results.
 
 use symla::matrix::generate;
 use symla::prelude::*;
@@ -259,38 +259,51 @@ fn timed_api_is_consistent_and_reproduces_untimed_results() {
     let a = generate::random_matrix_seeded::<f64>(32, 6, 910);
     let c0 = generate::random_symmetric::<f64>(32, &mut generate::seeded_rng(911));
 
+    let untimed = RunOptions {
+        pipeline: pipeline.clone(),
+        lookahead: 1,
+        ..RunOptions::new(60)
+    };
+    let timed = RunOptions {
+        model: Some(model),
+        ..untimed.clone()
+    };
     let mut c_untimed = c0.clone();
-    syrk_out_of_core_prefetched(
-        &a,
-        &mut c_untimed,
-        1.0,
-        60,
-        SyrkAlgorithm::TbsTiled,
-        &pipeline,
-        1,
-    )
-    .unwrap();
+    let job = Job::Syrk {
+        a: &a,
+        c: &mut c_untimed,
+        alpha: 1.0,
+        algorithm: SyrkAlgorithm::TbsTiled,
+    };
+    run(job, &untimed).unwrap();
     let mut c_timed = c0;
-    let (_, wall) = syrk_out_of_core_timed(
-        &a,
-        &mut c_timed,
-        1.0,
-        60,
-        SyrkAlgorithm::TbsTiled,
-        &pipeline,
-        1,
-        &model,
-    )
-    .unwrap();
+    let job = Job::Syrk {
+        a: &a,
+        c: &mut c_timed,
+        alpha: 1.0,
+        algorithm: SyrkAlgorithm::TbsTiled,
+    };
+    let wall = run(job, &timed).unwrap().clock.unwrap();
     assert!(wall.consistent(), "SYRK: measured != modelled");
     assert!(wall.measured.hidden_ns > 0.0, "SYRK: no overlap at L=1");
     assert_eq!(c_timed, c_untimed, "SYRK: timed result drifted");
 
     let spd = generate::random_spd_seeded::<f64>(28, 912);
-    let (l_untimed, _) =
-        cholesky_out_of_core_prefetched(&spd, 40, CholeskyAlgorithm::Lbc, &pipeline, 1).unwrap();
-    let (l_timed, _, wall) =
-        cholesky_out_of_core_timed(&spd, 40, CholeskyAlgorithm::Lbc, &pipeline, 1, &model).unwrap();
+    let chol = || Job::Cholesky {
+        a: &spd,
+        algorithm: CholeskyAlgorithm::Lbc,
+    };
+    let untimed = RunOptions {
+        memory: 40,
+        ..untimed
+    };
+    let timed = RunOptions {
+        memory: 40,
+        ..timed
+    };
+    let l_untimed = run(chol(), &untimed).unwrap().factor;
+    let chol_timed = run(chol(), &timed).unwrap();
+    let (l_timed, wall) = (chol_timed.factor, chol_timed.clock.unwrap());
     assert!(wall.consistent(), "Cholesky: measured != modelled");
     assert_eq!(l_timed, l_untimed, "Cholesky: timed factor drifted");
 
@@ -298,18 +311,38 @@ fn timed_api_is_consistent_and_reproduces_untimed_results() {
     let gb = generate::random_matrix_seeded::<f64>(8, 12, 914);
     let gc0 = generate::random_matrix_seeded::<f64>(14, 12, 915);
     let mut gc_untimed = gc0.clone();
-    gemm_out_of_core_prefetched(&ga, &gb, &mut gc_untimed, 1.0, 40, &pipeline, 1).unwrap();
+    let job = Job::Gemm {
+        a: &ga,
+        b: &gb,
+        c: &mut gc_untimed,
+        alpha: 1.0,
+    };
+    run(job, &untimed).unwrap();
     let mut gc_timed = gc0.clone();
-    let (_, wall) =
-        gemm_out_of_core_timed(&ga, &gb, &mut gc_timed, 1.0, 40, &pipeline, 1, &model).unwrap();
+    let job = Job::Gemm {
+        a: &ga,
+        b: &gb,
+        c: &mut gc_timed,
+        alpha: 1.0,
+    };
+    let wall = run(job, &timed).unwrap().clock.unwrap();
     assert!(wall.consistent(), "GEMM: measured != modelled");
     assert!(wall.measured.hidden_ns > 0.0, "GEMM: no overlap at L=1");
     assert_eq!(gc_timed, gc_untimed, "GEMM: timed result drifted");
 
     // Lookahead 0 through the timed API: still consistent, nothing hidden.
     let mut gc_plain = gc0;
-    let (_, wall) =
-        gemm_out_of_core_timed(&ga, &gb, &mut gc_plain, 1.0, 40, &pipeline, 0, &model).unwrap();
+    let job = Job::Gemm {
+        a: &ga,
+        b: &gb,
+        c: &mut gc_plain,
+        alpha: 1.0,
+    };
+    let l0 = RunOptions {
+        lookahead: 0,
+        ..timed
+    };
+    let wall = run(job, &l0).unwrap().clock.unwrap();
     assert!(wall.consistent(), "GEMM L=0: measured != modelled");
     assert_eq!(wall.measured.hidden_ns, 0.0, "GEMM L=0: cannot overlap");
 }
