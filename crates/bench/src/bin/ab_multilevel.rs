@@ -9,10 +9,11 @@
 //!    field-for-field equal [`IoStats`] to the plain [`OocMachine`] replay:
 //!    an unused hierarchy costs nothing and changes nothing;
 //! 2. **leveled replay** — the same schedule re-leveled to tier 2
-//!    ([`Schedule::with_transfer_level`]) still produces bitwise-identical
-//!    results with the same total volume, now fully attributed to the tier
-//!    in the per-level traffic counters, and its modelled wall-clock under
-//!    a tier surcharge is strictly slower than the flat pricing;
+//!    ([`Schedule::with_transfer_level`](symla_core::engine::Schedule::with_transfer_level))
+//!    still produces bitwise-identical results with the same total volume,
+//!    now fully attributed to the tier in the per-level traffic counters,
+//!    and its modelled wall-clock under a tier surcharge is strictly slower
+//!    than the flat pricing;
 //! 3. **dump round-trip** — the leveled schedule dumps with a `v2` header,
 //!    collapsing it back to the default level restores the original `v1`
 //!    dump byte for byte.
@@ -33,23 +34,15 @@
 //! ```
 
 use std::fmt::Write as _;
-use symla_baselines::{
-    ooc_chol_schedule, ooc_gemm_schedule, ooc_lu_schedule, ooc_syrk_schedule, ooc_trsm_schedule,
-    OocCholPlan, OocGemmPlan, OocLuPlan, OocSyrkPlan, OocTrsmPlan,
-};
-use symla_core::engine::{modelled_time, Engine, Schedule};
+use symla_bench::corpus::{self, diagonally_dominant, Builder, Case, Operand};
+use symla_core::engine::{modelled_time, Engine};
 use symla_core::parallel::{parallel_syrk_sharded, BlockStrategy, ShardedReport};
-use symla_core::plan::{LbcPlan, TbsPlan, TbsTiledPlan};
-use symla_core::{lbc_schedule, tbs_schedule, tbs_tiled_schedule};
 use symla_matrix::generate::{
     random_lower_triangular, random_matrix_seeded, random_spd_seeded, random_symmetric, seeded_rng,
 };
 use symla_matrix::kernels::syrk_sym;
 use symla_matrix::{Matrix, SymMatrix};
-use symla_memory::{
-    IoStats, Level, MachineConfig, MachineModel, MatrixId, OocMachine, PanelRef, SymWindowRef,
-    TieredMachine,
-};
+use symla_memory::{IoStats, Level, MachineConfig, MachineModel, OocMachine, TieredMachine};
 
 /// Acceptance band for the triangle-vs-square cross-shard volume ratio at
 /// the gate's shape (n = 120, S = 10: k = 4, t = 2): the finite-size value
@@ -59,184 +52,74 @@ const RATIO_BAND: (f64, f64) = (0.6, 0.78);
 /// The deep tier every transfer is re-leveled to in the leveled gate.
 const DEEP: Level = Level::new(2);
 
-/// A slow-memory operand in registration order (position = machine id).
-#[derive(Clone, PartialEq)]
-enum Mat {
-    Dense(Matrix<f64>),
-    Sym(SymMatrix<f64>),
+/// Plain replay through an [`OocMachine`]: results and stats.
+fn run_flat(case: &Case) -> (Vec<Operand>, IoStats) {
+    let mut machine = OocMachine::<f64>::new(MachineConfig::with_capacity(case.capacity));
+    corpus::register(&mut machine, &case.operands);
+    Engine::execute(&mut machine, &case.schedule).expect("flat replay");
+    let stats = machine.stats().clone();
+    (corpus::take(&mut machine, &case.operands), stats)
 }
 
-struct Case {
-    algorithm: String,
-    memory: usize,
-    schedule: Schedule<f64>,
-    mats: Vec<Mat>,
-}
-
-impl Case {
-    /// Plain replay through an [`OocMachine`]: results and stats.
-    fn run_flat(&self) -> (Vec<Mat>, IoStats) {
-        let mut machine = OocMachine::<f64>::new(MachineConfig::with_capacity(self.memory));
-        for (i, mat) in self.mats.iter().enumerate() {
-            let got = match mat {
-                Mat::Dense(m) => machine.insert_dense(m.clone()),
-                Mat::Sym(s) => machine.insert_symmetric(s.clone()),
-            };
-            assert_eq!(got, MatrixId::synthetic(i as u64));
-        }
-        Engine::execute(&mut machine, &self.schedule).expect("flat replay");
-        let stats = machine.stats().clone();
-        (take_all(&mut machine, &self.mats), stats)
-    }
-
-    /// Replay through a [`TieredMachine`] with two uncapped deep tiers,
-    /// optionally re-leveling every transfer to `level` first.
-    fn run_tiered(&self, level: Option<Level>) -> (Vec<Mat>, IoStats) {
-        let inner = OocMachine::<f64>::new(MachineConfig::with_capacity(self.memory));
-        let mut machine = TieredMachine::new(inner).with_tier(None).with_tier(None);
-        for (i, mat) in self.mats.iter().enumerate() {
-            let got = match mat {
-                Mat::Dense(m) => machine.inner_mut().insert_dense(m.clone()),
-                Mat::Sym(s) => machine.inner_mut().insert_symmetric(s.clone()),
-            };
-            assert_eq!(got, MatrixId::synthetic(i as u64));
-        }
-        let schedule = match level {
-            Some(l) => self.schedule.with_transfer_level(l),
-            None => self.schedule.clone(),
-        };
-        Engine::execute(&mut machine, &schedule).expect("tiered replay");
-        let stats = machine.inner().stats().clone();
-        let mut inner = machine.into_inner();
-        (take_all(&mut inner, &self.mats), stats)
-    }
-}
-
-fn take_all(machine: &mut OocMachine<f64>, mats: &[Mat]) -> Vec<Mat> {
-    mats.iter()
-        .enumerate()
-        .map(|(i, mat)| {
-            let id = MatrixId::synthetic(i as u64);
-            match mat {
-                Mat::Dense(_) => Mat::Dense(machine.take_dense(id).unwrap()),
-                Mat::Sym(_) => Mat::Sym(machine.take_symmetric(id).unwrap()),
-            }
-        })
-        .collect()
-}
-
-fn syrk_case(algorithm: &str, n: usize, m: usize, s: usize) -> Case {
-    let a: Matrix<f64> = random_matrix_seeded(n, m, 7100 + n as u64);
-    let mut rng = seeded_rng(7200 + n as u64);
-    let c: SymMatrix<f64> = random_symmetric(n, &mut rng);
-    let a_ref = PanelRef::dense(MatrixId::synthetic(0), n, m);
-    let c_ref = SymWindowRef::full(MatrixId::synthetic(1), n);
-    let schedule = match algorithm {
-        "tbs" => tbs_schedule(&a_ref, &c_ref, 1.0, &TbsPlan::for_memory(s).unwrap()).unwrap(),
-        "tbs_tiled" => tbs_tiled_schedule(
-            &a_ref,
-            &c_ref,
-            1.0,
-            &TbsTiledPlan::for_problem(s, n).unwrap(),
-        )
-        .unwrap(),
-        "ooc_syrk" => {
-            ooc_syrk_schedule(&a_ref, &c_ref, 1.0, &OocSyrkPlan::for_memory(s).unwrap()).unwrap()
-        }
-        other => unreachable!("unknown SYRK algorithm {other}"),
+/// Replay through a [`TieredMachine`] with two uncapped deep tiers,
+/// optionally re-leveling every transfer to `level` first.
+fn run_tiered(case: &Case, level: Option<Level>) -> (Vec<Operand>, IoStats) {
+    let inner = OocMachine::<f64>::new(MachineConfig::with_capacity(case.capacity));
+    let mut machine = TieredMachine::new(inner).with_tier(None).with_tier(None);
+    corpus::register(machine.inner_mut(), &case.operands);
+    let schedule = match level {
+        Some(l) => case.schedule.with_transfer_level(l),
+        None => case.schedule.clone(),
     };
-    Case {
-        algorithm: format!("{algorithm} n={n} m={m}"),
-        memory: s,
-        schedule,
-        mats: vec![Mat::Dense(a), Mat::Sym(c)],
-    }
+    Engine::execute(&mut machine, &schedule).expect("tiered replay");
+    let stats = machine.inner().stats().clone();
+    let mut inner = machine.into_inner();
+    (corpus::take(&mut inner, &case.operands), stats)
 }
 
-fn cholesky_case(algorithm: &str, n: usize, s: usize) -> Case {
-    let spd: SymMatrix<f64> = random_spd_seeded(n, 7300 + n as u64);
-    let window = SymWindowRef::full(MatrixId::synthetic(0), n);
-    let schedule = match algorithm {
-        "lbc" => lbc_schedule(&window, &LbcPlan::for_problem(n, s).unwrap()).unwrap(),
-        "ooc_chol" => ooc_chol_schedule(&window, &OocCholPlan::for_memory(s).unwrap()),
-        other => unreachable!("unknown Cholesky algorithm {other}"),
-    };
-    Case {
-        algorithm: format!("{algorithm} n={n}"),
-        memory: s,
-        schedule,
-        mats: vec![Mat::Sym(spd)],
-    }
+fn syrk(builder: Builder, n: usize, m: usize, s: usize) -> Case {
+    let a = random_matrix_seeded(n, m, 7100 + n as u64);
+    let c = random_symmetric(n, &mut seeded_rng(7200 + n as u64));
+    Case::syrk(builder, &a, &c, 1.0, s)
 }
 
-fn trsm_case(m: usize, b: usize, s: usize) -> Case {
-    let mut rng = seeded_rng(7400 + b as u64);
-    let lfac = random_lower_triangular::<f64>(b, &mut rng);
-    let lsym = SymMatrix::from_lower_fn(b, |i, j| lfac.get(i, j));
-    let x: Matrix<f64> = random_matrix_seeded(m, b, 7500 + m as u64);
-    let l_ref = SymWindowRef::full(MatrixId::synthetic(0), b);
-    let x_ref = PanelRef::dense(MatrixId::synthetic(1), m, b);
-    Case {
-        algorithm: format!("ooc_trsm m={m} b={b}"),
-        memory: s,
-        schedule: ooc_trsm_schedule(&l_ref, &x_ref, &OocTrsmPlan::for_memory(s).unwrap()).unwrap(),
-        mats: vec![Mat::Sym(lsym), Mat::Dense(x)],
-    }
+fn cholesky(builder: Builder, n: usize, s: usize) -> Case {
+    Case::cholesky(builder, &random_spd_seeded(n, 7300 + n as u64), s)
 }
 
-fn gemm_case(n: usize, m: usize, p: usize, s: usize) -> Case {
-    let ga: Matrix<f64> = random_matrix_seeded(n, m, 7600);
-    let gb: Matrix<f64> = random_matrix_seeded(m, p, 7601);
-    let gc: Matrix<f64> = random_matrix_seeded(n, p, 7602);
-    Case {
-        algorithm: format!("ooc_gemm n={n} m={m} p={p}"),
-        memory: s,
-        schedule: ooc_gemm_schedule(
-            &PanelRef::dense(MatrixId::synthetic(0), n, m),
-            &PanelRef::dense(MatrixId::synthetic(1), m, p),
-            &PanelRef::dense(MatrixId::synthetic(2), n, p),
-            1.0,
-            &OocGemmPlan::for_memory(s).unwrap(),
-        )
-        .unwrap(),
-        mats: vec![Mat::Dense(ga), Mat::Dense(gb), Mat::Dense(gc)],
-    }
+fn trsm(m: usize, b: usize, s: usize) -> Case {
+    let l = random_lower_triangular(b, &mut seeded_rng(7400 + b as u64));
+    Case::trsm(&l, &random_matrix_seeded(m, b, 7500 + m as u64), s)
 }
 
-fn lu_case(n: usize, s: usize) -> Case {
-    let mut lu = random_matrix_seeded::<f64>(n, n, 7700);
-    for i in 0..n {
-        lu[(i, i)] += n as f64;
-    }
-    Case {
-        algorithm: format!("ooc_lu n={n}"),
-        memory: s,
-        schedule: ooc_lu_schedule(
-            &PanelRef::dense(MatrixId::synthetic(0), n, n),
-            &OocLuPlan::for_memory(s).unwrap(),
-        )
-        .unwrap(),
-        mats: vec![Mat::Dense(lu)],
-    }
+fn gemm(n: usize, m: usize, p: usize, s: usize) -> Case {
+    let a = random_matrix_seeded(n, m, 7600);
+    let b = random_matrix_seeded(m, p, 7601);
+    Case::gemm(&a, &b, &random_matrix_seeded(n, p, 7602), 1.0, s)
+}
+
+fn lu(n: usize, s: usize) -> Case {
+    Case::lu(&diagonally_dominant(random_matrix_seeded(n, n, 7700)), s)
 }
 
 fn cases(smoke: bool) -> Vec<Case> {
+    use Builder::*;
     let mut cases = vec![
-        syrk_case("tbs", 30, 6, 60),
-        syrk_case("tbs_tiled", 40, 6, 60),
-        syrk_case("ooc_syrk", 20, 5, 35),
-        cholesky_case("lbc", 36, 48),
-        cholesky_case("ooc_chol", 24, 35),
-        trsm_case(9, 8, 24),
-        gemm_case(9, 7, 11, 35),
-        lu_case(12, 35),
+        syrk(Tbs, 30, 6, 60),
+        syrk(TbsTiled, 40, 6, 60),
+        syrk(OocSyrk, 20, 5, 35),
+        cholesky(Lbc, 36, 48),
+        cholesky(OocChol, 24, 35),
+        trsm(9, 8, 24),
+        gemm(9, 7, 11, 35),
+        lu(12, 35),
     ];
     if !smoke {
         cases.extend([
-            syrk_case("tbs", 52, 8, 90),
-            syrk_case("tbs_tiled", 80, 10, 120),
-            cholesky_case("lbc", 48, 80),
-            gemm_case(14, 10, 14, 48),
+            syrk(Tbs, 52, 8, 90),
+            syrk(TbsTiled, 80, 10, 120),
+            cholesky(Lbc, 48, 80),
+            gemm(14, 10, 14, 48),
         ]);
     }
     cases
@@ -332,10 +215,10 @@ fn main() {
     let mut rows: Vec<Row> = Vec::new();
     for case in cases(smoke) {
         let mut checks: Vec<&str> = Vec::new();
-        let (flat_result, flat_stats) = case.run_flat();
+        let (flat_result, flat_stats) = run_flat(&case);
 
         // Gate 1: the degenerate hierarchy is invisible.
-        let (collapsed_result, collapsed_stats) = case.run_tiered(None);
+        let (collapsed_result, collapsed_stats) = run_tiered(&case, None);
         if collapsed_result != flat_result {
             checks.push("COLLAPSE RESULT DIFFERS");
         }
@@ -345,7 +228,7 @@ fn main() {
 
         // Gate 2: the leveled replay moves the same data, attributed to
         // the tier, and prices strictly slower under the surcharge.
-        let (leveled_result, leveled_stats) = case.run_tiered(Some(DEEP));
+        let (leveled_result, leveled_stats) = run_tiered(&case, Some(DEEP));
         if leveled_result != flat_result {
             checks.push("LEVELED RESULT DIFFERS");
         }
@@ -357,9 +240,9 @@ fn main() {
         {
             checks.push("PER-LEVEL TRAFFIC WRONG");
         }
-        let flat_time = modelled_time(&case.schedule, &model, 0, Some(case.memory));
+        let flat_time = modelled_time(&case.schedule, &model, 0, Some(case.capacity));
         let leveled = case.schedule.with_transfer_level(DEEP);
-        let leveled_time = modelled_time(&leveled, &model, 0, Some(case.memory));
+        let leveled_time = modelled_time(&leveled, &model, 0, Some(case.capacity));
         if flat_stats.volume.loads + flat_stats.volume.stores > 0
             && leveled_time.total_ns() <= flat_time.total_ns()
         {
@@ -385,7 +268,7 @@ fn main() {
         }
         println!(
             "{:<24} {:>8} {:>8} {:>14.1} {:>14.1}  {}",
-            case.algorithm,
+            case.name,
             flat_stats.volume.loads,
             flat_stats.volume.stores,
             flat_time.total_ns(),
@@ -393,8 +276,8 @@ fn main() {
             check
         );
         rows.push(Row {
-            algorithm: case.algorithm,
-            memory: case.memory,
+            algorithm: case.name,
+            memory: case.capacity,
             loads: flat_stats.volume.loads,
             stores: flat_stats.volume.stores,
             flat_ns: flat_time.total_ns(),

@@ -39,19 +39,15 @@
 
 use std::fmt::Write as _;
 use std::time::Duration;
-use symla_baselines::{ooc_gemm_schedule, ooc_syrk_schedule, OocGemmPlan, OocSyrkPlan};
+use symla_bench::corpus::{self, Builder, Case, Operand};
 use symla_bench::harness::time_median;
-use symla_core::engine::{modelled_run_trace, Engine, EngineConfig, Schedule};
+use symla_core::engine::{modelled_run_trace, Engine, EngineConfig};
 use symla_core::parallel::{parallel_syrk_prefetched, parallel_syrk_traced, BlockStrategy};
-use symla_core::plan::{LbcPlan, TbsPlan, TbsTiledPlan};
-use symla_core::{lbc_schedule, tbs_schedule, tbs_tiled_schedule};
 use symla_matrix::generate::{
     random_matrix_seeded, random_spd_seeded, random_symmetric, seeded_rng,
 };
 use symla_matrix::{Matrix, SymMatrix};
-use symla_memory::{
-    IoStats, MachineConfig, MachineModel, MatrixId, OocMachine, PanelRef, SymWindowRef,
-};
+use symla_memory::{IoStats, MachineConfig, MachineModel, OocMachine};
 use symla_obs::{
     json, EventKind, InstrumentedMachine, MetricsRegistry, NullObserver, RunTrace, TimeBase,
     TraceRecorder,
@@ -68,171 +64,95 @@ const OBS_SLACK: f64 = 2.0;
 /// times and accepts the first fully-populated trace.
 const PARALLEL_ATTEMPTS: usize = 10;
 
-/// A slow-memory operand in registration order (position = machine id).
-#[derive(Clone, PartialEq)]
-enum Mat {
-    Dense(Matrix<f64>),
-    Sym(SymMatrix<f64>),
+fn fresh_machine(case: &Case) -> OocMachine<f64> {
+    let mut machine = OocMachine::<f64>::new(MachineConfig::with_capacity(case.capacity));
+    corpus::register(&mut machine, &case.operands);
+    machine
 }
 
-struct Case {
-    algorithm: String,
-    memory: usize,
-    schedule: Schedule<f64>,
-    mats: Vec<Mat>,
+/// Unobserved replay: results and stats.
+fn execute_plain(case: &Case, lookahead: usize) -> (Vec<Operand>, IoStats) {
+    let mut machine = fresh_machine(case);
+    Engine::execute_with(
+        &mut machine,
+        &case.schedule,
+        &EngineConfig::with_lookahead(lookahead),
+    )
+    .expect("plain replay");
+    let stats = machine.stats().clone();
+    (corpus::take(&mut machine, &case.operands), stats)
 }
 
-impl Case {
-    fn fresh_machine(&self) -> OocMachine<f64> {
-        let mut machine = OocMachine::<f64>::new(MachineConfig::with_capacity(self.memory));
-        for (i, mat) in self.mats.iter().enumerate() {
-            let got = match mat {
-                Mat::Dense(m) => machine.insert_dense(m.clone()),
-                Mat::Sym(s) => machine.insert_symmetric(s.clone()),
-            };
-            assert_eq!(got, MatrixId::synthetic(i as u64));
+/// Observed replay: results, stats and the recorded trace.
+fn execute_observed(
+    case: &Case,
+    model: &MachineModel,
+    lookahead: usize,
+) -> (Vec<Operand>, IoStats, RunTrace) {
+    let recorder = TraceRecorder::new();
+    let mut machine = InstrumentedMachine::new(fresh_machine(case), *model, recorder.clone(), 0);
+    Engine::execute_with(
+        &mut machine,
+        &case.schedule,
+        &EngineConfig::with_lookahead(lookahead),
+    )
+    .expect("observed replay");
+    let mut inner = machine.into_inner();
+    let stats = inner.stats().clone();
+    (
+        corpus::take(&mut inner, &case.operands),
+        stats,
+        recorder.finish(),
+    )
+}
+
+/// Median real elapsed time of one full replay, through `instrumented`
+/// (`NullObserver`) or the bare machine.
+fn real_elapsed(case: &Case, lookahead: usize, samples: usize, instrumented: bool) -> Duration {
+    let config = EngineConfig::with_lookahead(lookahead);
+    let model = MachineModel::nvme();
+    time_median(1, samples, || {
+        if instrumented {
+            let mut machine = InstrumentedMachine::new(fresh_machine(case), model, NullObserver, 0);
+            Engine::execute_with(&mut machine, &case.schedule, &config).expect("replay");
+        } else {
+            let mut machine = fresh_machine(case);
+            Engine::execute_with(&mut machine, &case.schedule, &config).expect("replay");
         }
-        machine
-    }
-
-    fn take_all(&self, machine: &mut OocMachine<f64>) -> Vec<Mat> {
-        self.mats
-            .iter()
-            .enumerate()
-            .map(|(i, mat)| {
-                let id = MatrixId::synthetic(i as u64);
-                match mat {
-                    Mat::Dense(_) => Mat::Dense(machine.take_dense(id).unwrap()),
-                    Mat::Sym(_) => Mat::Sym(machine.take_symmetric(id).unwrap()),
-                }
-            })
-            .collect()
-    }
-
-    /// Unobserved replay: results and stats.
-    fn execute_plain(&self, lookahead: usize) -> (Vec<Mat>, IoStats) {
-        let mut machine = self.fresh_machine();
-        Engine::execute_with(
-            &mut machine,
-            &self.schedule,
-            &EngineConfig::with_lookahead(lookahead),
-        )
-        .expect("plain replay");
-        let stats = machine.stats().clone();
-        (self.take_all(&mut machine), stats)
-    }
-
-    /// Observed replay: results, stats and the recorded trace.
-    fn execute_observed(
-        &self,
-        model: &MachineModel,
-        lookahead: usize,
-    ) -> (Vec<Mat>, IoStats, RunTrace) {
-        let recorder = TraceRecorder::new();
-        let mut machine =
-            InstrumentedMachine::new(self.fresh_machine(), *model, recorder.clone(), 0);
-        Engine::execute_with(
-            &mut machine,
-            &self.schedule,
-            &EngineConfig::with_lookahead(lookahead),
-        )
-        .expect("observed replay");
-        let mut inner = machine.into_inner();
-        let stats = inner.stats().clone();
-        (self.take_all(&mut inner), stats, recorder.finish())
-    }
-
-    /// Median real elapsed time of one full replay, through `instrumented`
-    /// (`NullObserver`) or the bare machine.
-    fn real_elapsed(&self, lookahead: usize, samples: usize, instrumented: bool) -> Duration {
-        let config = EngineConfig::with_lookahead(lookahead);
-        let model = MachineModel::nvme();
-        time_median(1, samples, || {
-            if instrumented {
-                let mut machine =
-                    InstrumentedMachine::new(self.fresh_machine(), model, NullObserver, 0);
-                Engine::execute_with(&mut machine, &self.schedule, &config).expect("replay");
-            } else {
-                let mut machine = self.fresh_machine();
-                Engine::execute_with(&mut machine, &self.schedule, &config).expect("replay");
-            }
-        })
-    }
+    })
 }
 
-fn syrk_case(algorithm: &str, n: usize, m: usize, s: usize) -> Case {
-    let a: Matrix<f64> = random_matrix_seeded(n, m, 6900 + n as u64);
-    let mut rng = seeded_rng(6950 + n as u64);
-    let c: SymMatrix<f64> = random_symmetric(n, &mut rng);
-    let a_ref = PanelRef::dense(MatrixId::synthetic(0), n, m);
-    let c_ref = SymWindowRef::full(MatrixId::synthetic(1), n);
-    let schedule = match algorithm {
-        "tbs" => tbs_schedule(&a_ref, &c_ref, 1.0, &TbsPlan::for_memory(s).unwrap()).unwrap(),
-        "tbs_tiled" => tbs_tiled_schedule(
-            &a_ref,
-            &c_ref,
-            1.0,
-            &TbsTiledPlan::for_problem(s, n).unwrap(),
-        )
-        .unwrap(),
-        "ooc_syrk" => {
-            ooc_syrk_schedule(&a_ref, &c_ref, 1.0, &OocSyrkPlan::for_memory(s).unwrap()).unwrap()
-        }
-        other => unreachable!("unknown SYRK algorithm {other}"),
-    };
-    Case {
-        algorithm: format!("{algorithm} n={n} m={m}"),
-        memory: s,
-        schedule,
-        mats: vec![Mat::Dense(a), Mat::Sym(c)],
-    }
+fn syrk(builder: Builder, n: usize, m: usize, s: usize) -> Case {
+    let a = random_matrix_seeded(n, m, 6900 + n as u64);
+    let c = random_symmetric(n, &mut seeded_rng(6950 + n as u64));
+    Case::syrk(builder, &a, &c, 1.0, s)
 }
 
-fn lbc_case(n: usize, s: usize) -> Case {
-    let spd: SymMatrix<f64> = random_spd_seeded(n, 6970 + n as u64);
-    let window = SymWindowRef::full(MatrixId::synthetic(0), n);
-    Case {
-        algorithm: format!("lbc n={n}"),
-        memory: s,
-        schedule: lbc_schedule(&window, &LbcPlan::for_problem(n, s).unwrap()).unwrap(),
-        mats: vec![Mat::Sym(spd)],
-    }
+fn lbc(n: usize, s: usize) -> Case {
+    Case::cholesky(Builder::Lbc, &random_spd_seeded(n, 6970 + n as u64), s)
 }
 
-fn gemm_case(n: usize, m: usize, p: usize, s: usize) -> Case {
-    Case {
-        algorithm: format!("ooc_gemm n={n} m={m} p={p}"),
-        memory: s,
-        schedule: ooc_gemm_schedule(
-            &PanelRef::dense(MatrixId::synthetic(0), n, m),
-            &PanelRef::dense(MatrixId::synthetic(1), m, p),
-            &PanelRef::dense(MatrixId::synthetic(2), n, p),
-            1.0,
-            &OocGemmPlan::for_memory(s).unwrap(),
-        )
-        .unwrap(),
-        mats: vec![
-            Mat::Dense(random_matrix_seeded(n, m, 6980)),
-            Mat::Dense(random_matrix_seeded(m, p, 6981)),
-            Mat::Dense(random_matrix_seeded(n, p, 6982)),
-        ],
-    }
+fn gemm(n: usize, m: usize, p: usize, s: usize) -> Case {
+    let a = random_matrix_seeded(n, m, 6980);
+    let b = random_matrix_seeded(m, p, 6981);
+    Case::gemm(&a, &b, &random_matrix_seeded(n, p, 6982), 1.0, s)
 }
 
 fn cases(smoke: bool) -> Vec<Case> {
+    use Builder::*;
     let mut cases = vec![
-        syrk_case("tbs", 30, 6, 60),
-        syrk_case("tbs_tiled", 40, 6, 60),
-        syrk_case("ooc_syrk", 20, 5, 35),
-        lbc_case(36, 48),
-        gemm_case(9, 7, 11, 35),
+        syrk(Tbs, 30, 6, 60),
+        syrk(TbsTiled, 40, 6, 60),
+        syrk(OocSyrk, 20, 5, 35),
+        lbc(36, 48),
+        gemm(9, 7, 11, 35),
     ];
     if !smoke {
         cases.extend([
-            syrk_case("tbs", 52, 8, 90),
-            syrk_case("tbs_tiled", 80, 10, 120),
-            lbc_case(48, 80),
-            gemm_case(14, 10, 14, 48),
+            syrk(Tbs, 52, 8, 90),
+            syrk(TbsTiled, 80, 10, 120),
+            lbc(48, 80),
+            gemm(14, 10, 14, 48),
         ]);
     }
     cases
@@ -400,8 +320,8 @@ fn main() {
     let mut overheads: Vec<(String, Duration, Duration)> = Vec::new();
     for case in cases(smoke) {
         for lookahead in [0usize, 1, 2] {
-            let (plain_result, plain_stats) = case.execute_plain(lookahead);
-            let (obs_result, obs_stats, trace) = case.execute_observed(&model, lookahead);
+            let (plain_result, plain_stats) = execute_plain(&case, lookahead);
+            let (obs_result, obs_stats, trace) = execute_observed(&case, &model, lookahead);
             let mut checks: Vec<&str> = Vec::new();
             if obs_result != plain_result {
                 checks.push("RESULT DIFFERS");
@@ -414,7 +334,7 @@ fn main() {
             }
             let executed = trace.to_chrome_trace(&[TimeBase::Modelled]);
             let synthesized =
-                modelled_run_trace(&case.schedule, &model, lookahead, Some(case.memory))
+                modelled_run_trace(&case.schedule, &model, lookahead, Some(case.capacity))
                     .to_chrome_trace(&[TimeBase::Modelled]);
             if executed != synthesized {
                 checks.push("TRACE DIVERGED");
@@ -434,16 +354,16 @@ fn main() {
             }
             println!(
                 "{:<24} {:>4} {:>2} {:>8} {:>12}  {}",
-                case.algorithm,
-                case.memory,
+                case.name,
+                case.capacity,
                 lookahead,
                 trace.len(),
                 executed.len(),
                 check
             );
             rows.push(Row {
-                algorithm: case.algorithm.clone(),
-                memory: case.memory,
+                algorithm: case.name.clone(),
+                memory: case.capacity,
                 lookahead,
                 events: trace.len(),
                 export_bytes: executed.len(),
@@ -453,8 +373,8 @@ fn main() {
 
         // Disabled-observer overhead: the NullObserver path must be
         // indistinguishable from the plain machine, up to CI noise.
-        let plain = case.real_elapsed(1, samples, false);
-        let null_obs = case.real_elapsed(1, samples, true);
+        let plain = real_elapsed(&case, 1, samples, false);
+        let null_obs = real_elapsed(&case, 1, samples, true);
         let ratio = null_obs.as_secs_f64() / plain.as_secs_f64().max(f64::MIN_POSITIVE);
         let slack = Duration::from_micros(200);
         let check = if null_obs > plain.mul_f64(OBS_SLACK) + slack {
@@ -467,7 +387,7 @@ fn main() {
             "  overhead: plain {plain:>10?}  null-observer {null_obs:>10?}  \
              ratio {ratio:>5.2}x  {check}"
         );
-        overheads.push((case.algorithm.clone(), plain, null_obs));
+        overheads.push((case.name.clone(), plain, null_obs));
     }
 
     println!("\nparallel end-to-end trace:");

@@ -20,175 +20,68 @@
 //! cargo run --release -p symla-bench --bin ab_passes -- --smoke # CI gate
 //! ```
 
-use symla_baselines::{
-    ooc_chol_schedule, ooc_gemm_schedule, ooc_lu_schedule, ooc_syrk_schedule, ooc_trsm_schedule,
-    OocCholPlan, OocGemmPlan, OocLuPlan, OocSyrkPlan, OocTrsmPlan,
-};
+use symla_bench::corpus::{self, diagonally_dominant, Builder, Case, Operand};
 use symla_core::engine::{Engine, Schedule};
 use symla_core::passes::{Optimized, PassPipeline};
-use symla_core::plan::{LbcPlan, TbsPlan, TbsTiledPlan};
-use symla_core::{lbc_schedule, tbs_schedule, tbs_tiled_schedule};
 use symla_matrix::generate::{
     random_lower_triangular, random_matrix_seeded, random_spd_seeded, random_symmetric, seeded_rng,
 };
-use symla_matrix::{Matrix, SymMatrix};
-use symla_memory::{MachineConfig, MatrixId, OocMachine, PanelRef, SymWindowRef};
+use symla_memory::{MachineConfig, OocMachine};
 
-/// A slow-memory operand in registration order (position = machine id).
-#[derive(Clone, PartialEq)]
-enum Mat {
-    Dense(Matrix<f64>),
-    Sym(SymMatrix<f64>),
+fn execute(case: &Case, schedule: &Schedule<f64>) -> Vec<Operand> {
+    let mut machine = OocMachine::<f64>::new(MachineConfig::unlimited());
+    corpus::register(&mut machine, &case.operands);
+    Engine::execute(&mut machine, schedule).expect("schedule must execute");
+    corpus::take(&mut machine, &case.operands)
 }
 
-struct Case {
-    algorithm: String,
-    memory: usize,
-    schedule: Schedule<f64>,
-    mats: Vec<Mat>,
+fn syrk(builder: Builder, n: usize, m: usize, s: usize) -> Case {
+    let a = random_matrix_seeded(n, m, 4100 + n as u64);
+    let c = random_symmetric(n, &mut seeded_rng(4200 + n as u64));
+    Case::syrk(builder, &a, &c, 1.0, s)
 }
 
-impl Case {
-    fn execute(&self, schedule: &Schedule<f64>) -> Vec<Mat> {
-        let mut machine = OocMachine::<f64>::new(MachineConfig::unlimited());
-        for (i, mat) in self.mats.iter().enumerate() {
-            let got = match mat {
-                Mat::Dense(m) => machine.insert_dense(m.clone()),
-                Mat::Sym(s) => machine.insert_symmetric(s.clone()),
-            };
-            assert_eq!(got, MatrixId::synthetic(i as u64));
-        }
-        Engine::execute(&mut machine, schedule).expect("schedule must execute");
-        self.mats
-            .iter()
-            .enumerate()
-            .map(|(i, mat)| {
-                let id = MatrixId::synthetic(i as u64);
-                match mat {
-                    Mat::Dense(_) => Mat::Dense(machine.take_dense(id).unwrap()),
-                    Mat::Sym(_) => Mat::Sym(machine.take_symmetric(id).unwrap()),
-                }
-            })
-            .collect()
-    }
+fn cholesky(builder: Builder, n: usize, s: usize) -> Case {
+    Case::cholesky(builder, &random_spd_seeded(n, 4300 + n as u64), s)
 }
 
-fn syrk_case(algorithm: &str, n: usize, m: usize, s: usize) -> Case {
-    let a: Matrix<f64> = random_matrix_seeded(n, m, 4100 + n as u64);
-    let mut rng = seeded_rng(4200 + n as u64);
-    let c: SymMatrix<f64> = random_symmetric(n, &mut rng);
-    let a_ref = PanelRef::dense(MatrixId::synthetic(0), n, m);
-    let c_ref = SymWindowRef::full(MatrixId::synthetic(1), n);
-    let schedule = match algorithm {
-        "tbs" => tbs_schedule(&a_ref, &c_ref, 1.0, &TbsPlan::for_memory(s).unwrap()).unwrap(),
-        "tbs_tiled" => tbs_tiled_schedule(
-            &a_ref,
-            &c_ref,
-            1.0,
-            &TbsTiledPlan::for_problem(s, n).unwrap(),
-        )
-        .unwrap(),
-        "ooc_syrk" => {
-            ooc_syrk_schedule(&a_ref, &c_ref, 1.0, &OocSyrkPlan::for_memory(s).unwrap()).unwrap()
-        }
-        other => unreachable!("unknown SYRK algorithm {other}"),
-    };
-    Case {
-        algorithm: format!("{algorithm} n={n} m={m}"),
-        memory: s,
-        schedule,
-        mats: vec![Mat::Dense(a), Mat::Sym(c)],
-    }
+fn trsm(m: usize, b: usize, s: usize) -> Case {
+    let l = random_lower_triangular(b, &mut seeded_rng(4400 + b as u64));
+    Case::trsm(&l, &random_matrix_seeded(m, b, 4500 + m as u64), s)
 }
 
-fn cholesky_case(algorithm: &str, n: usize, s: usize) -> Case {
-    let spd: SymMatrix<f64> = random_spd_seeded(n, 4300 + n as u64);
-    let window = SymWindowRef::full(MatrixId::synthetic(0), n);
-    let schedule = match algorithm {
-        "lbc" => lbc_schedule(&window, &LbcPlan::for_problem(n, s).unwrap()).unwrap(),
-        "ooc_chol" => ooc_chol_schedule(&window, &OocCholPlan::for_memory(s).unwrap()),
-        other => unreachable!("unknown Cholesky algorithm {other}"),
-    };
-    Case {
-        algorithm: format!("{algorithm} n={n}"),
-        memory: s,
-        schedule,
-        mats: vec![Mat::Sym(spd)],
-    }
+fn gemm(n: usize, m: usize, p: usize, s: usize) -> Case {
+    let a = random_matrix_seeded(n, m, 4600);
+    let b = random_matrix_seeded(m, p, 4601);
+    Case::gemm(&a, &b, &random_matrix_seeded(n, p, 4602), 1.0, s)
 }
 
-fn trsm_case(m: usize, b: usize, s: usize) -> Case {
-    let mut rng = seeded_rng(4400 + b as u64);
-    let lfac = random_lower_triangular::<f64>(b, &mut rng);
-    let lsym = SymMatrix::from_lower_fn(b, |i, j| lfac.get(i, j));
-    let x: Matrix<f64> = random_matrix_seeded(m, b, 4500 + m as u64);
-    let l_ref = SymWindowRef::full(MatrixId::synthetic(0), b);
-    let x_ref = PanelRef::dense(MatrixId::synthetic(1), m, b);
-    Case {
-        algorithm: format!("ooc_trsm m={m} b={b}"),
-        memory: s,
-        schedule: ooc_trsm_schedule(&l_ref, &x_ref, &OocTrsmPlan::for_memory(s).unwrap()).unwrap(),
-        mats: vec![Mat::Sym(lsym), Mat::Dense(x)],
-    }
-}
-
-fn gemm_case(n: usize, m: usize, p: usize, s: usize) -> Case {
-    let ga: Matrix<f64> = random_matrix_seeded(n, m, 4600);
-    let gb: Matrix<f64> = random_matrix_seeded(m, p, 4601);
-    let gc: Matrix<f64> = random_matrix_seeded(n, p, 4602);
-    Case {
-        algorithm: format!("ooc_gemm n={n} m={m} p={p}"),
-        memory: s,
-        schedule: ooc_gemm_schedule(
-            &PanelRef::dense(MatrixId::synthetic(0), n, m),
-            &PanelRef::dense(MatrixId::synthetic(1), m, p),
-            &PanelRef::dense(MatrixId::synthetic(2), n, p),
-            1.0,
-            &OocGemmPlan::for_memory(s).unwrap(),
-        )
-        .unwrap(),
-        mats: vec![Mat::Dense(ga), Mat::Dense(gb), Mat::Dense(gc)],
-    }
-}
-
-fn lu_case(n: usize, s: usize) -> Case {
-    let mut lu = random_matrix_seeded::<f64>(n, n, 4700);
-    for i in 0..n {
-        lu[(i, i)] += n as f64;
-    }
-    Case {
-        algorithm: format!("ooc_lu n={n}"),
-        memory: s,
-        schedule: ooc_lu_schedule(
-            &PanelRef::dense(MatrixId::synthetic(0), n, n),
-            &OocLuPlan::for_memory(s).unwrap(),
-        )
-        .unwrap(),
-        mats: vec![Mat::Dense(lu)],
-    }
+fn lu(n: usize, s: usize) -> Case {
+    Case::lu(&diagonally_dominant(random_matrix_seeded(n, n, 4700)), s)
 }
 
 fn cases(smoke: bool) -> Vec<Case> {
+    use Builder::*;
     let mut cases = vec![
-        syrk_case("tbs", 30, 6, 10),
-        syrk_case("tbs_tiled", 40, 6, 60),
-        syrk_case("ooc_syrk", 20, 5, 35),
-        cholesky_case("lbc", 36, 48),
-        cholesky_case("ooc_chol", 24, 35),
-        trsm_case(9, 8, 24),
-        gemm_case(9, 7, 11, 35),
-        lu_case(12, 35),
+        syrk(Tbs, 30, 6, 10),
+        syrk(TbsTiled, 40, 6, 60),
+        syrk(OocSyrk, 20, 5, 35),
+        cholesky(Lbc, 36, 48),
+        cholesky(OocChol, 24, 35),
+        trsm(9, 8, 24),
+        gemm(9, 7, 11, 35),
+        lu(12, 35),
     ];
     if !smoke {
         cases.extend([
-            syrk_case("tbs", 52, 8, 15),
-            syrk_case("tbs_tiled", 80, 10, 120),
-            syrk_case("ooc_syrk", 40, 8, 80),
-            cholesky_case("lbc", 48, 80),
-            cholesky_case("ooc_chol", 36, 63),
-            trsm_case(16, 12, 35),
-            gemm_case(14, 10, 14, 48),
-            lu_case(18, 48),
+            syrk(Tbs, 52, 8, 15),
+            syrk(TbsTiled, 80, 10, 120),
+            syrk(OocSyrk, 40, 8, 80),
+            cholesky(Lbc, 48, 80),
+            cholesky(OocChol, 36, 63),
+            trsm(16, 12, 35),
+            gemm(14, 10, 14, 48),
+            lu(18, 48),
         ]);
     }
     cases
@@ -219,8 +112,8 @@ fn run_case(case: &Case, pipeline: &PassPipeline, name: &'static str, verbose: b
         .manager::<f64>()
         .optimize(&case.schedule, "main")
         .expect("pipeline must verify");
-    let seed_result = case.execute(&case.schedule);
-    let opt_result = case.execute(&optimized.schedule);
+    let seed_result = execute(case, &case.schedule);
+    let opt_result = execute(case, &optimized.schedule);
     if verbose {
         for stage in &optimized.stages {
             if !stage.report.is_noop() {
@@ -229,8 +122,8 @@ fn run_case(case: &Case, pipeline: &PassPipeline, name: &'static str, verbose: b
         }
     }
     Row {
-        case: case.algorithm.clone(),
-        memory: case.memory,
+        case: case.name.clone(),
+        memory: case.capacity,
         pipeline: name,
         seed: optimized.seed_stats.clone(),
         opt: optimized.final_stats.clone(),
@@ -251,7 +144,7 @@ fn main() {
     let mut rows = Vec::new();
     for case in cases(smoke) {
         if verbose {
-            println!("  -- {} (S={}) --", case.algorithm, case.memory);
+            println!("  -- {} (S={}) --", case.name, case.capacity);
         }
         rows.push(run_case(
             &case,
@@ -261,7 +154,7 @@ fn main() {
         ));
         rows.push(run_case(
             &case,
-            &PassPipeline::locality(Some(2 * case.memory)),
+            &PassPipeline::locality(Some(2 * case.capacity)),
             "locality",
             verbose,
         ));

@@ -34,14 +34,9 @@
 
 use std::fmt::Write as _;
 use std::time::Duration;
-use symla_baselines::{
-    ooc_chol_schedule, ooc_gemm_schedule, ooc_lu_schedule, ooc_syrk_schedule, ooc_trsm_schedule,
-    OocCholPlan, OocGemmPlan, OocLuPlan, OocSyrkPlan, OocTrsmPlan,
-};
+use symla_bench::corpus::{self, diagonally_dominant, Builder, Case, Operand};
 use symla_bench::harness::time_median;
-use symla_core::engine::{modelled_time, Engine, EngineConfig, Schedule};
-use symla_core::plan::{LbcPlan, TbsPlan, TbsTiledPlan};
-use symla_core::{lbc_schedule, tbs_schedule, tbs_tiled_schedule};
+use symla_core::engine::{modelled_time, Engine, EngineConfig};
 use symla_matrix::generate::{
     random_lower_triangular, random_matrix_seeded, random_spd_seeded, random_symmetric, seeded_rng,
 };
@@ -49,10 +44,8 @@ use symla_matrix::kernels::micro::{ger_view_blocked, spr_lower_view_blocked, DEF
 use symla_matrix::kernels::views::{ger_view, spr_lower_view};
 use symla_matrix::packed::packed_len;
 use symla_matrix::views::{MatViewMut, PackedLowerViewMut};
-use symla_matrix::{Matrix, SymMatrix};
 use symla_memory::{
-    FileSlowMemory, LatencyMachine, MachineConfig, MachineModel, MatrixId, OocMachine, PanelRef,
-    SymWindowRef, TimeStats,
+    FileSlowMemory, IoStats, LatencyMachine, MachineConfig, MachineModel, OocMachine, TimeStats,
 };
 
 /// How much slower than the naive reference a blocked micro-kernel may
@@ -61,257 +54,109 @@ use symla_memory::{
 /// (and full-sweep-reported) ratio is >= 1.
 const MICRO_SLACK: f64 = 2.0;
 
-/// A slow-memory operand in registration order (position = machine id).
-#[derive(Clone, PartialEq)]
-enum Mat {
-    Dense(Matrix<f64>),
-    Sym(SymMatrix<f64>),
+/// Executes the schedule at the given lookahead inside a [`LatencyMachine`],
+/// returning the final slow-memory contents and the measured model time.
+fn execute_timed(case: &Case, model: &MachineModel, lookahead: usize) -> (Vec<Operand>, TimeStats) {
+    let config = EngineConfig::with_lookahead(lookahead);
+    let mut machine = LatencyMachine::new(
+        OocMachine::<f64>::new(MachineConfig::with_capacity(case.capacity)),
+        *model,
+    );
+    corpus::register(machine.inner_mut(), &case.operands);
+    Engine::execute_with(&mut machine, &case.schedule, &config)
+        .expect("schedule must execute within its planned capacity");
+    let time = machine.time();
+    let mut inner = machine.into_inner();
+    (corpus::take(&mut inner, &case.operands), time)
 }
 
-struct Case {
-    algorithm: String,
-    memory: usize,
-    schedule: Schedule<f64>,
-    mats: Vec<Mat>,
-    /// Whether the acceptance gate demands a strictly positive modelled
-    /// speedup at lookahead 1 for this case.
-    must_speed_up: bool,
+/// Real elapsed time of one full execution (machine setup + replay) at the
+/// given lookahead: warm-up plus median of `samples`.
+fn real_elapsed(case: &Case, lookahead: usize, samples: usize) -> Duration {
+    let config = EngineConfig::with_lookahead(lookahead);
+    time_median(1, samples, || {
+        let mut machine = OocMachine::<f64>::new(MachineConfig::with_capacity(case.capacity));
+        corpus::register(&mut machine, &case.operands);
+        Engine::execute_with(&mut machine, &case.schedule, &config).expect("replay");
+        machine
+    })
 }
 
-impl Case {
-    /// Executes the schedule at the given lookahead inside a
-    /// [`LatencyMachine`], returning the final slow-memory contents and the
-    /// measured model time.
-    fn execute_timed(&self, model: &MachineModel, lookahead: usize) -> (Vec<Mat>, TimeStats) {
-        let config = EngineConfig::with_lookahead(lookahead);
-        let mut machine = LatencyMachine::new(
-            OocMachine::<f64>::new(MachineConfig::with_capacity(self.memory)),
-            *model,
-        );
-        for (i, mat) in self.mats.iter().enumerate() {
-            let got = match mat {
-                Mat::Dense(m) => machine.inner_mut().insert_dense(m.clone()),
-                Mat::Sym(s) => machine.inner_mut().insert_symmetric(s.clone()),
-            };
-            assert_eq!(got, MatrixId::synthetic(i as u64));
-        }
-        Engine::execute_with(&mut machine, &self.schedule, &config)
-            .expect("schedule must execute within its planned capacity");
-        let time = machine.time();
-        let mut inner = machine.into_inner();
-        let out = self
-            .mats
-            .iter()
-            .enumerate()
-            .map(|(i, mat)| {
-                let id = MatrixId::synthetic(i as u64);
-                match mat {
-                    Mat::Dense(_) => Mat::Dense(inner.take_dense(id).unwrap()),
-                    Mat::Sym(_) => Mat::Sym(inner.take_symmetric(id).unwrap()),
-                }
-            })
-            .collect();
-        (out, time)
-    }
-
-    /// Real elapsed time of one full execution (machine setup + replay) at
-    /// the given lookahead: warm-up plus median of `samples`.
-    fn real_elapsed(&self, lookahead: usize, samples: usize) -> Duration {
-        let config = EngineConfig::with_lookahead(lookahead);
-        time_median(1, samples, || {
-            let mut machine = OocMachine::<f64>::new(MachineConfig::with_capacity(self.memory));
-            for mat in &self.mats {
-                match mat {
-                    Mat::Dense(m) => machine.insert_dense(m.clone()),
-                    Mat::Sym(s) => machine.insert_symmetric(s.clone()),
-                };
-            }
-            Engine::execute_with(&mut machine, &self.schedule, &config).expect("replay");
-            machine
-        })
-    }
-
-    /// Replays the schedule (lookahead 0) against the **file-backed** slow
-    /// memory and returns its results and stats for the cross-check against
-    /// the simulated machine.
-    fn execute_file_backed(&self) -> (Vec<Mat>, symla_memory::IoStats) {
-        let mut machine = FileSlowMemory::<f64>::with_capacity(self.memory)
-            .expect("create file-backed slow memory");
-        for (i, mat) in self.mats.iter().enumerate() {
-            let got = match mat {
-                Mat::Dense(m) => machine.insert_dense(m.clone()),
-                Mat::Sym(s) => machine.insert_symmetric(s.clone()),
-            }
-            .expect("write operand to backing file");
-            assert_eq!(got, MatrixId::synthetic(i as u64));
-        }
-        Engine::execute(&mut machine, &self.schedule).expect("file-backed replay");
-        let stats = machine.stats().clone();
-        let out = self
-            .mats
-            .iter()
-            .enumerate()
-            .map(|(i, mat)| {
-                let id = MatrixId::synthetic(i as u64);
-                match mat {
-                    Mat::Dense(_) => Mat::Dense(machine.take_dense(id).unwrap()),
-                    Mat::Sym(_) => Mat::Sym(machine.take_symmetric(id).unwrap()),
-                }
-            })
-            .collect();
-        (out, stats)
-    }
-
-    /// Plain simulated replay (lookahead 0): results and stats, for the
-    /// file-backed cross-check.
-    fn execute_simulated(&self) -> (Vec<Mat>, symla_memory::IoStats) {
-        let mut machine = OocMachine::<f64>::new(MachineConfig::with_capacity(self.memory));
-        for (i, mat) in self.mats.iter().enumerate() {
-            let got = match mat {
-                Mat::Dense(m) => machine.insert_dense(m.clone()),
-                Mat::Sym(s) => machine.insert_symmetric(s.clone()),
-            };
-            assert_eq!(got, MatrixId::synthetic(i as u64));
-        }
-        Engine::execute(&mut machine, &self.schedule).expect("simulated replay");
-        let stats = machine.stats().clone();
-        let out = self
-            .mats
-            .iter()
-            .enumerate()
-            .map(|(i, mat)| {
-                let id = MatrixId::synthetic(i as u64);
-                match mat {
-                    Mat::Dense(_) => Mat::Dense(machine.take_dense(id).unwrap()),
-                    Mat::Sym(_) => Mat::Sym(machine.take_symmetric(id).unwrap()),
-                }
-            })
-            .collect();
-        (out, stats)
-    }
+/// Replays the schedule (lookahead 0) against the **file-backed** slow
+/// memory and returns its results and stats for the cross-check against the
+/// simulated machine.
+fn execute_file_backed(case: &Case) -> (Vec<Operand>, IoStats) {
+    let mut machine = FileSlowMemory::<f64>::with_capacity(case.capacity)
+        .expect("create file-backed slow memory");
+    corpus::register(&mut machine, &case.operands);
+    Engine::execute(&mut machine, &case.schedule).expect("file-backed replay");
+    let stats = machine.stats().clone();
+    (corpus::take(&mut machine, &case.operands), stats)
 }
 
-fn syrk_case(algorithm: &str, n: usize, m: usize, s: usize, must_speed_up: bool) -> Case {
-    let a: Matrix<f64> = random_matrix_seeded(n, m, 6100 + n as u64);
-    let mut rng = seeded_rng(6200 + n as u64);
-    let c: SymMatrix<f64> = random_symmetric(n, &mut rng);
-    let a_ref = PanelRef::dense(MatrixId::synthetic(0), n, m);
-    let c_ref = SymWindowRef::full(MatrixId::synthetic(1), n);
-    let schedule = match algorithm {
-        "tbs" => tbs_schedule(&a_ref, &c_ref, 1.0, &TbsPlan::for_memory(s).unwrap()).unwrap(),
-        "tbs_tiled" => tbs_tiled_schedule(
-            &a_ref,
-            &c_ref,
-            1.0,
-            &TbsTiledPlan::for_problem(s, n).unwrap(),
-        )
-        .unwrap(),
-        "ooc_syrk" => {
-            ooc_syrk_schedule(&a_ref, &c_ref, 1.0, &OocSyrkPlan::for_memory(s).unwrap()).unwrap()
-        }
-        other => unreachable!("unknown SYRK algorithm {other}"),
-    };
-    Case {
-        algorithm: format!("{algorithm} n={n} m={m}"),
-        memory: s,
-        schedule,
-        mats: vec![Mat::Dense(a), Mat::Sym(c)],
-        must_speed_up,
-    }
+/// Plain simulated replay (lookahead 0): results and stats, for the
+/// file-backed cross-check.
+fn execute_simulated(case: &Case) -> (Vec<Operand>, IoStats) {
+    let mut machine = OocMachine::<f64>::new(MachineConfig::with_capacity(case.capacity));
+    corpus::register(&mut machine, &case.operands);
+    Engine::execute(&mut machine, &case.schedule).expect("simulated replay");
+    let stats = machine.stats().clone();
+    (corpus::take(&mut machine, &case.operands), stats)
 }
 
-fn cholesky_case(algorithm: &str, n: usize, s: usize) -> Case {
-    let spd: SymMatrix<f64> = random_spd_seeded(n, 6300 + n as u64);
-    let window = SymWindowRef::full(MatrixId::synthetic(0), n);
-    let schedule = match algorithm {
-        "lbc" => lbc_schedule(&window, &LbcPlan::for_problem(n, s).unwrap()).unwrap(),
-        "ooc_chol" => ooc_chol_schedule(&window, &OocCholPlan::for_memory(s).unwrap()),
-        other => unreachable!("unknown Cholesky algorithm {other}"),
-    };
-    Case {
-        algorithm: format!("{algorithm} n={n}"),
-        memory: s,
-        schedule,
-        mats: vec![Mat::Sym(spd)],
-        must_speed_up: false,
-    }
+/// Whether the acceptance gate demands a strictly positive modelled speedup
+/// at lookahead 1: the update-style paper kernels, tiled TBS and OOC-GEMM.
+fn must_speed_up(case: &Case) -> bool {
+    matches!(case.builder, Builder::TbsTiled | Builder::OocGemm)
 }
 
-fn trsm_case(m: usize, b: usize, s: usize) -> Case {
-    let mut rng = seeded_rng(6400 + b as u64);
-    let lfac = random_lower_triangular::<f64>(b, &mut rng);
-    let lsym = SymMatrix::from_lower_fn(b, |i, j| lfac.get(i, j));
-    let x: Matrix<f64> = random_matrix_seeded(m, b, 6500 + m as u64);
-    let l_ref = SymWindowRef::full(MatrixId::synthetic(0), b);
-    let x_ref = PanelRef::dense(MatrixId::synthetic(1), m, b);
-    Case {
-        algorithm: format!("ooc_trsm m={m} b={b}"),
-        memory: s,
-        schedule: ooc_trsm_schedule(&l_ref, &x_ref, &OocTrsmPlan::for_memory(s).unwrap()).unwrap(),
-        mats: vec![Mat::Sym(lsym), Mat::Dense(x)],
-        must_speed_up: false,
-    }
+fn syrk(builder: Builder, n: usize, m: usize, s: usize) -> Case {
+    let a = random_matrix_seeded(n, m, 6100 + n as u64);
+    let c = random_symmetric(n, &mut seeded_rng(6200 + n as u64));
+    Case::syrk(builder, &a, &c, 1.0, s)
 }
 
-fn gemm_case(n: usize, m: usize, p: usize, s: usize) -> Case {
-    let ga: Matrix<f64> = random_matrix_seeded(n, m, 6600);
-    let gb: Matrix<f64> = random_matrix_seeded(m, p, 6601);
-    let gc: Matrix<f64> = random_matrix_seeded(n, p, 6602);
-    Case {
-        algorithm: format!("ooc_gemm n={n} m={m} p={p}"),
-        memory: s,
-        schedule: ooc_gemm_schedule(
-            &PanelRef::dense(MatrixId::synthetic(0), n, m),
-            &PanelRef::dense(MatrixId::synthetic(1), m, p),
-            &PanelRef::dense(MatrixId::synthetic(2), n, p),
-            1.0,
-            &OocGemmPlan::for_memory(s).unwrap(),
-        )
-        .unwrap(),
-        mats: vec![Mat::Dense(ga), Mat::Dense(gb), Mat::Dense(gc)],
-        must_speed_up: true,
-    }
+fn cholesky(builder: Builder, n: usize, s: usize) -> Case {
+    Case::cholesky(builder, &random_spd_seeded(n, 6300 + n as u64), s)
 }
 
-fn lu_case(n: usize, s: usize) -> Case {
-    let mut lu = random_matrix_seeded::<f64>(n, n, 6700);
-    for i in 0..n {
-        lu[(i, i)] += n as f64;
-    }
-    Case {
-        algorithm: format!("ooc_lu n={n}"),
-        memory: s,
-        schedule: ooc_lu_schedule(
-            &PanelRef::dense(MatrixId::synthetic(0), n, n),
-            &OocLuPlan::for_memory(s).unwrap(),
-        )
-        .unwrap(),
-        mats: vec![Mat::Dense(lu)],
-        must_speed_up: false,
-    }
+fn trsm(m: usize, b: usize, s: usize) -> Case {
+    let l = random_lower_triangular(b, &mut seeded_rng(6400 + b as u64));
+    Case::trsm(&l, &random_matrix_seeded(m, b, 6500 + m as u64), s)
+}
+
+fn gemm(n: usize, m: usize, p: usize, s: usize) -> Case {
+    let a = random_matrix_seeded(n, m, 6600);
+    let b = random_matrix_seeded(m, p, 6601);
+    Case::gemm(&a, &b, &random_matrix_seeded(n, p, 6602), 1.0, s)
+}
+
+fn lu(n: usize, s: usize) -> Case {
+    Case::lu(&diagonally_dominant(random_matrix_seeded(n, n, 6700)), s)
 }
 
 fn cases(smoke: bool) -> Vec<Case> {
+    use Builder::*;
     let mut cases = vec![
-        syrk_case("tbs", 30, 6, 60, false),
-        syrk_case("tbs_tiled", 40, 6, 60, true),
-        syrk_case("ooc_syrk", 20, 5, 35, false),
-        cholesky_case("lbc", 36, 48),
-        cholesky_case("ooc_chol", 24, 35),
-        trsm_case(9, 8, 24),
-        gemm_case(9, 7, 11, 35),
-        lu_case(12, 35),
+        syrk(Tbs, 30, 6, 60),
+        syrk(TbsTiled, 40, 6, 60),
+        syrk(OocSyrk, 20, 5, 35),
+        cholesky(Lbc, 36, 48),
+        cholesky(OocChol, 24, 35),
+        trsm(9, 8, 24),
+        gemm(9, 7, 11, 35),
+        lu(12, 35),
     ];
     if !smoke {
         cases.extend([
-            syrk_case("tbs", 52, 8, 90, false),
-            syrk_case("tbs_tiled", 80, 10, 120, true),
-            syrk_case("ooc_syrk", 40, 8, 80, false),
-            cholesky_case("lbc", 48, 80),
-            cholesky_case("ooc_chol", 36, 63),
-            trsm_case(16, 12, 35),
-            gemm_case(14, 10, 14, 48),
-            lu_case(18, 48),
+            syrk(Tbs, 52, 8, 90),
+            syrk(TbsTiled, 80, 10, 120),
+            syrk(OocSyrk, 40, 8, 80),
+            cholesky(Lbc, 48, 80),
+            cholesky(OocChol, 36, 63),
+            trsm(16, 12, 35),
+            gemm(14, 10, 14, 48),
+            lu(18, 48),
         ]);
     }
     cases
@@ -442,13 +287,13 @@ fn main() {
     let mut failures = 0;
     let mut rows: Vec<Row> = Vec::new();
     for case in cases(smoke) {
-        let mut baseline: Option<Vec<Mat>> = None;
+        let mut baseline: Option<Vec<Operand>> = None;
         let mut serial_ns = 0.0_f64;
         let mut prev_ns = f64::INFINITY;
         for lookahead in [0usize, 1, 2] {
-            let (result, measured) = case.execute_timed(&model, lookahead);
-            let modelled = modelled_time(&case.schedule, &model, lookahead, Some(case.memory));
-            let real = case.real_elapsed(lookahead, samples);
+            let (result, measured) = execute_timed(&case, &model, lookahead);
+            let modelled = modelled_time(&case.schedule, &model, lookahead, Some(case.capacity));
+            let real = real_elapsed(&case, lookahead, samples);
             let mut checks: Vec<&str> = Vec::new();
             if measured.io_ns.to_bits() != modelled.io_ns.to_bits()
                 || measured.compute_ns.to_bits() != modelled.compute_ns.to_bits()
@@ -471,7 +316,7 @@ fn main() {
             if measured.total_ns() > prev_ns {
                 checks.push("MODELLED TIME GREW");
             }
-            if lookahead == 1 && case.must_speed_up && measured.total_ns() >= serial_ns {
+            if lookahead == 1 && must_speed_up(&case) && measured.total_ns() >= serial_ns {
                 checks.push("NO SPEEDUP");
             }
             prev_ns = measured.total_ns();
@@ -485,8 +330,8 @@ fn main() {
             }
             println!(
                 "{:<26} {:>4} {:>2} {:>14.1} {:>12.1} {:>7.3}x {:>12.1?}  {}",
-                case.algorithm,
-                case.memory,
+                case.name,
+                case.capacity,
                 lookahead,
                 measured.total_ns(),
                 measured.hidden_ns,
@@ -499,8 +344,8 @@ fn main() {
                 check
             );
             rows.push(Row {
-                algorithm: case.algorithm.clone(),
-                memory: case.memory,
+                algorithm: case.name.clone(),
+                memory: case.capacity,
                 lookahead,
                 time: measured,
                 real,
@@ -509,14 +354,14 @@ fn main() {
 
         // File-backed cross-check: the on-disk slow memory must reproduce
         // the simulated machine's results and accounting exactly.
-        let (sim_result, sim_stats) = case.execute_simulated();
-        let (file_result, file_stats) = case.execute_file_backed();
+        let (sim_result, sim_stats) = execute_simulated(&case);
+        let (file_result, file_stats) = execute_file_backed(&case);
         if file_result != sim_result {
-            eprintln!("FAIL: {}: file-backed result differs", case.algorithm);
+            eprintln!("FAIL: {}: file-backed result differs", case.name);
             failures += 1;
         }
         if file_stats != sim_stats {
-            eprintln!("FAIL: {}: file-backed stats differ", case.algorithm);
+            eprintln!("FAIL: {}: file-backed stats differ", case.name);
             failures += 1;
         }
     }

@@ -18,6 +18,7 @@
 
 #![warn(missing_docs)]
 
+pub mod corpus;
 pub mod harness;
 
 use std::fmt::Write as _;

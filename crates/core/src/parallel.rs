@@ -584,11 +584,9 @@ where
             // completed groups were stored consistently, the failed group's
             // buffers were released without a write-back. Every worker has
             // exited the scope and released its leases (even failed stores
-            // release), so the take cannot fail — losing the caller's
-            // matrix here would be silent data loss, hence the expect.
-            *c = shared
-                .take_symmetric(c_id)
-                .expect("workers released every lease on abort");
+            // release), so the take succeeds; should it ever fail, that
+            // error is reported instead of the engine's.
+            *c = shared.take_symmetric(c_id)?;
             return Err(e.error.into());
         }
     };
@@ -754,9 +752,7 @@ pub fn parallel_syrk_sharded<T: Scalar>(
                 // Same recovery contract as the work-stealing path: every
                 // node has exited the scope and released its leases, so the
                 // caller's (partially updated) matrix is handed back.
-                *c = shared
-                    .take_symmetric(c_id)
-                    .expect("nodes released every lease on abort");
+                *c = shared.take_symmetric(c_id)?;
                 return Err(e.into());
             }
         };

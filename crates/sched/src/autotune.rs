@@ -53,8 +53,6 @@ use crate::engine::{Engine, EngineConfig, ParallelError, WorkerRun};
 use crate::ir::Schedule;
 use crate::passes::{PassPipeline, StageOutcome};
 use crate::prefetch::PrefetchPlan;
-#[cfg(test)]
-use crate::timing::modelled_group_times;
 use crate::timing::{group_windows, latency_replay, modelled_time_planned};
 use crate::StableHasher;
 use std::fmt;
@@ -699,6 +697,7 @@ fn apply_pipeline<T: Scalar>(
 mod tests {
     use super::*;
     use crate::ir::ScheduleBuilder;
+    use crate::timing::modelled_group_times;
     use symla_matrix::kernels::FlopCount;
     use symla_memory::{MatrixId, Region};
 

@@ -24,6 +24,7 @@ use symla_baselines::{
     ooc_chol_cost, ooc_chol_schedule, ooc_gemm_cost, ooc_gemm_schedule, ooc_lu_cost,
     ooc_lu_schedule, ooc_syrk_cost, ooc_syrk_schedule, ooc_trsm_cost, ooc_trsm_schedule,
 };
+use symla_bench::corpus::{self, Builder, Case, Operand};
 use symla_core::engine::{Engine, Schedule, WorkerRun};
 use symla_core::parallel::{analytic_worker_io, partition_schedule, BlockStrategy, WorkerIo};
 use symla_core::{lbc_schedule, tbs_schedule, tbs_tiled_schedule};
@@ -224,31 +225,6 @@ fn lbc_execute_equals_dry_run_trace_and_reference() {
     }
 }
 
-/// An operand registered in slow memory for the parallel-equivalence checks
-/// (ids are issued in insertion order, matching the synthetic ids the
-/// schedules were built against).
-#[derive(Clone)]
-enum Operand {
-    Dense(Matrix<f64>),
-    Sym(SymMatrix<f64>),
-}
-
-impl Operand {
-    fn insert_serial(&self, machine: &mut OocMachine<f64>) -> MatrixId {
-        match self {
-            Operand::Dense(m) => machine.insert_dense(m.clone()),
-            Operand::Sym(s) => machine.insert_symmetric(s.clone()),
-        }
-    }
-
-    fn insert_shared(&self, shared: &SharedSlowMemory<f64>) -> MatrixId {
-        match self {
-            Operand::Dense(m) => shared.insert_dense(m.clone()),
-            Operand::Sym(s) => shared.insert_symmetric(s.clone()),
-        }
-    }
-}
-
 /// Checks invariant 5 of the module docs for one schedule: parallel
 /// execution at P ∈ {1, 2, 4, 8} against the serial execution of the same
 /// schedule on the same operands.
@@ -260,25 +236,15 @@ fn check_parallel_matches_serial(
 ) {
     // Serial reference execution of the same schedule.
     let mut machine = OocMachine::new(MachineConfig::with_capacity(capacity));
-    let ids: Vec<MatrixId> = operands
-        .iter()
-        .map(|o| o.insert_serial(&mut machine))
-        .collect();
+    corpus::register(&mut machine, operands);
     Engine::execute(&mut machine, schedule).unwrap();
     let dry = Engine::dry_run(schedule, "main");
     assert_eq!(machine.stats(), &dry, "{ctx}: serial execute vs dry run");
-    let serial_out: Vec<Operand> = ids
-        .iter()
-        .zip(operands)
-        .map(|(&id, op)| match op {
-            Operand::Dense(_) => Operand::Dense(machine.take_dense(id).unwrap()),
-            Operand::Sym(_) => Operand::Sym(machine.take_symmetric(id).unwrap()),
-        })
-        .collect();
+    let serial_out = corpus::take(&mut machine, operands);
 
     for workers in [1usize, 2, 4, 8] {
-        let shared = SharedSlowMemory::new();
-        let ids: Vec<MatrixId> = operands.iter().map(|o| o.insert_shared(&shared)).collect();
+        let mut shared = SharedSlowMemory::new();
+        corpus::register(&mut shared, operands);
         let runs = Engine::execute_parallel(
             &shared,
             schedule,
@@ -348,18 +314,9 @@ fn check_parallel_matches_serial(
         }
 
         // The computed matrices are bitwise-equal to the serial execution.
-        for ((&id, out), op) in ids.iter().zip(&serial_out).zip(operands) {
-            match (out, op) {
-                (Operand::Dense(expected), Operand::Dense(_)) => {
-                    let got = shared.take_dense(id).unwrap();
-                    assert!(got == *expected, "{ctx} P={workers}: dense result m{id:?}");
-                }
-                (Operand::Sym(expected), Operand::Sym(_)) => {
-                    let got = shared.take_symmetric(id).unwrap();
-                    assert!(got == *expected, "{ctx} P={workers}: sym result m{id:?}");
-                }
-                _ => unreachable!("operand kinds are stable"),
-            }
+        let parallel_out = corpus::take(&mut shared, operands);
+        for (i, (got, expected)) in parallel_out.iter().zip(&serial_out).enumerate() {
+            assert!(got == expected, "{ctx} P={workers}: result of operand {i}");
         }
     }
 }
@@ -369,42 +326,23 @@ fn parallel_execution_matches_serial_for_all_grouped_schedules() {
     let (n, m, s) = (36, 6, 12);
     let a = generate::random_matrix_seeded::<f64>(n, m, 21);
     let c0 = generate::random_symmetric::<f64>(n, &mut generate::seeded_rng(22));
-    let a_ref = PanelRef::dense(MatrixId::synthetic(0), n, m);
-    let c_ref = SymWindowRef::full(MatrixId::synthetic(1), n);
-    let update_operands = [Operand::Dense(a.clone()), Operand::Sym(c0.clone())];
-
-    let sq_plan = OocSyrkPlan::for_memory(s).unwrap();
-    let schedule = ooc_syrk_schedule::<f64>(&a_ref, &c_ref, 1.5, &sq_plan).unwrap();
-    assert!(schedule.num_groups() > 1);
-    check_parallel_matches_serial("OOC_SYRK", &schedule, s, &update_operands);
-
-    let tbs_plan = TbsPlan::for_memory(s).unwrap();
-    let schedule = tbs_schedule::<f64>(&a_ref, &c_ref, -1.0, &tbs_plan).unwrap();
-    assert!(schedule.num_groups() > 1);
-    check_parallel_matches_serial("TBS", &schedule, s, &update_operands);
-
-    let tiled_plan = TbsTiledPlan::for_problem(s, n).unwrap();
-    let schedule = tbs_tiled_schedule::<f64>(&a_ref, &c_ref, 1.0, &tiled_plan).unwrap();
-    assert!(schedule.num_groups() > 1);
-    check_parallel_matches_serial("TBS(tiled)", &schedule, s, &update_operands);
-
-    // GEMM: three dense operands, one group per C tile.
-    let (gn, gb, gp, gs) = (20, 6, 10, 30);
-    let ga = generate::random_matrix_seeded::<f64>(gn, gb, 23);
-    let gbm = generate::random_matrix_seeded::<f64>(gb, gp, 24);
-    let gc = generate::random_matrix_seeded::<f64>(gn, gp, 25);
-    let ga_ref = PanelRef::dense(MatrixId::synthetic(0), gn, gb);
-    let gb_ref = PanelRef::dense(MatrixId::synthetic(1), gb, gp);
-    let gc_ref = PanelRef::dense(MatrixId::synthetic(2), gn, gp);
-    let gemm_plan = OocGemmPlan::for_memory(gs).unwrap();
-    let schedule = ooc_gemm_schedule::<f64>(&ga_ref, &gb_ref, &gc_ref, 2.0, &gemm_plan).unwrap();
-    assert!(schedule.num_groups() > 1);
-    check_parallel_matches_serial(
-        "OOC_GEMM",
-        &schedule,
-        gs,
-        &[Operand::Dense(ga), Operand::Dense(gbm), Operand::Dense(gc)],
-    );
+    let cases = [
+        Case::syrk(Builder::OocSyrk, &a, &c0, 1.5, s),
+        Case::syrk(Builder::Tbs, &a, &c0, -1.0, s),
+        Case::syrk(Builder::TbsTiled, &a, &c0, 1.0, s),
+        // GEMM: three dense operands, one group per C tile.
+        Case::gemm(
+            &generate::random_matrix_seeded(20, 6, 23),
+            &generate::random_matrix_seeded(6, 10, 24),
+            &generate::random_matrix_seeded(20, 10, 25),
+            2.0,
+            30,
+        ),
+    ];
+    for case in &cases {
+        assert!(case.schedule.num_groups() > 1);
+        check_parallel_matches_serial(&case.name, &case.schedule, case.capacity, &case.operands);
+    }
 
     // The parallel-SYRK partition schedules (C first, then A).
     for strategy in [BlockStrategy::SquareTiles, BlockStrategy::TriangleBlocks] {

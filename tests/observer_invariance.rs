@@ -25,158 +25,43 @@
 
 use symla::matrix::generate;
 use symla::prelude::*;
-use symla_baselines::{
-    ooc_chol_schedule, ooc_gemm_schedule, ooc_lu_schedule, ooc_syrk_schedule, ooc_trsm_schedule,
-};
+use symla_bench::corpus::{self, diagonally_dominant, Builder, Case, Operand};
 use symla_core::parallel::{parallel_syrk_prefetched, parallel_syrk_traced, BlockStrategy};
-
-/// One sweep case: a schedule, the capacity it was planned for and its
-/// operands (insertion order = synthetic ids).
-struct Case {
-    name: &'static str,
-    schedule: Schedule<f64>,
-    capacity: usize,
-    operands: Vec<Operand>,
-}
-
-#[derive(Clone, PartialEq)]
-enum Operand {
-    Dense(Matrix<f64>),
-    Sym(SymMatrix<f64>),
-}
 
 fn sweep_cases() -> Vec<Case> {
     let (n, m, s) = (36, 6, 60);
     let a = generate::random_matrix_seeded::<f64>(n, m, 920);
     let c0 = generate::random_symmetric::<f64>(n, &mut generate::seeded_rng(921));
-    let a_ref = PanelRef::dense(MatrixId::synthetic(0), n, m);
-    let c_ref = SymWindowRef::full(MatrixId::synthetic(1), n);
-    let update_ops = vec![Operand::Dense(a), Operand::Sym(c0)];
-
-    let mut cases = vec![
-        Case {
-            name: "TBS",
-            schedule: tbs_schedule(&a_ref, &c_ref, -1.0, &TbsPlan::for_memory(s).unwrap()).unwrap(),
-            capacity: s,
-            operands: update_ops.clone(),
-        },
-        Case {
-            name: "TBS(tiled)",
-            schedule: tbs_tiled_schedule(
-                &a_ref,
-                &c_ref,
-                1.0,
-                &TbsTiledPlan::for_problem(s, n).unwrap(),
-            )
-            .unwrap(),
-            capacity: s,
-            operands: update_ops.clone(),
-        },
-        Case {
-            name: "OOC_SYRK",
-            schedule: ooc_syrk_schedule(&a_ref, &c_ref, 1.5, &OocSyrkPlan::for_memory(s).unwrap())
-                .unwrap(),
-            capacity: s,
-            operands: update_ops,
-        },
-    ];
-
-    let (gn, gb, gp, gs) = (20, 6, 10, 40);
-    cases.push(Case {
-        name: "OOC_GEMM",
-        schedule: ooc_gemm_schedule(
-            &PanelRef::dense(MatrixId::synthetic(0), gn, gb),
-            &PanelRef::dense(MatrixId::synthetic(1), gb, gp),
-            &PanelRef::dense(MatrixId::synthetic(2), gn, gp),
+    let spd = generate::random_spd_seeded::<f64>(30, 925);
+    let lu = diagonally_dominant(generate::random_matrix_seeded(18, 18, 926));
+    let lfac = generate::random_lower_triangular(10, &mut generate::seeded_rng(927));
+    vec![
+        Case::syrk(Builder::Tbs, &a, &c0, -1.0, s),
+        Case::syrk(Builder::TbsTiled, &a, &c0, 1.0, s),
+        Case::syrk(Builder::OocSyrk, &a, &c0, 1.5, s),
+        Case::gemm(
+            &generate::random_matrix_seeded(20, 6, 922),
+            &generate::random_matrix_seeded(6, 10, 923),
+            &generate::random_matrix_seeded(20, 10, 924),
             2.0,
-            &OocGemmPlan::for_memory(gs).unwrap(),
-        )
-        .unwrap(),
-        capacity: gs,
-        operands: vec![
-            Operand::Dense(generate::random_matrix_seeded::<f64>(gn, gb, 922)),
-            Operand::Dense(generate::random_matrix_seeded::<f64>(gb, gp, 923)),
-            Operand::Dense(generate::random_matrix_seeded::<f64>(gn, gp, 924)),
-        ],
-    });
-
-    let (fn_, fs) = (30, 40);
-    let spd = generate::random_spd_seeded::<f64>(fn_, 925);
-    let window = SymWindowRef::full(MatrixId::synthetic(0), fn_);
-    cases.push(Case {
-        name: "OOC_CHOL",
-        schedule: ooc_chol_schedule(&window, &OocCholPlan::for_memory(fs).unwrap()),
-        capacity: fs,
-        operands: vec![Operand::Sym(spd.clone())],
-    });
-    cases.push(Case {
-        name: "LBC",
-        schedule: lbc_schedule(&window, &LbcPlan::for_problem(fn_, fs).unwrap()).unwrap(),
-        capacity: fs,
-        operands: vec![Operand::Sym(spd)],
-    });
-
-    let mut lu = generate::random_matrix_seeded::<f64>(18, 18, 926);
-    for i in 0..18 {
-        lu[(i, i)] += 18.0;
-    }
-    cases.push(Case {
-        name: "OOC_LU",
-        schedule: ooc_lu_schedule(
-            &PanelRef::dense(MatrixId::synthetic(0), 18, 18),
-            &OocLuPlan::for_memory(40).unwrap(),
-        )
-        .unwrap(),
-        capacity: 40,
-        operands: vec![Operand::Dense(lu)],
-    });
-
-    let (tm, tb, ts) = (12, 10, 40);
-    let lfac = generate::random_lower_triangular::<f64>(tb, &mut generate::seeded_rng(927));
-    let lsym = SymMatrix::from_lower_fn(tb, |i, j| lfac.get(i, j));
-    cases.push(Case {
-        name: "OOC_TRSM",
-        schedule: ooc_trsm_schedule(
-            &SymWindowRef::full(MatrixId::synthetic(0), tb),
-            &PanelRef::dense(MatrixId::synthetic(1), tm, tb),
-            &OocTrsmPlan::for_memory(ts).unwrap(),
-        )
-        .unwrap(),
-        capacity: ts,
-        operands: vec![
-            Operand::Sym(lsym),
-            Operand::Dense(generate::random_matrix_seeded::<f64>(tm, tb, 928)),
-        ],
-    });
-    cases
+            40,
+        ),
+        Case::cholesky(Builder::OocChol, &spd, 40),
+        Case::cholesky(Builder::Lbc, &spd, 40),
+        Case::lu(&lu, 40),
+        Case::trsm(&lfac, &generate::random_matrix_seeded(12, 10, 928), 40),
+    ]
 }
 
-fn fresh_machine(case: &Case) -> (OocMachine<f64>, Vec<MatrixId>) {
+fn fresh_machine(case: &Case) -> OocMachine<f64> {
     let mut machine = OocMachine::<f64>::new(MachineConfig::with_capacity(case.capacity));
-    let ids = case
-        .operands
-        .iter()
-        .map(|o| match o {
-            Operand::Dense(m) => machine.insert_dense(m.clone()),
-            Operand::Sym(s) => machine.insert_symmetric(s.clone()),
-        })
-        .collect();
-    (machine, ids)
-}
-
-fn take_all(case: &Case, machine: &mut OocMachine<f64>, ids: &[MatrixId]) -> Vec<Operand> {
-    ids.iter()
-        .zip(&case.operands)
-        .map(|(&id, op)| match op {
-            Operand::Dense(_) => Operand::Dense(machine.take_dense(id).unwrap()),
-            Operand::Sym(_) => Operand::Sym(machine.take_symmetric(id).unwrap()),
-        })
-        .collect()
+    corpus::register(&mut machine, &case.operands);
+    machine
 }
 
 /// Unobserved replay: final operands and stats.
 fn run_plain(case: &Case, lookahead: usize) -> (Vec<Operand>, IoStats) {
-    let (mut machine, ids) = fresh_machine(case);
+    let mut machine = fresh_machine(case);
     Engine::execute_with(
         &mut machine,
         &case.schedule,
@@ -184,7 +69,7 @@ fn run_plain(case: &Case, lookahead: usize) -> (Vec<Operand>, IoStats) {
     )
     .unwrap();
     let stats = machine.stats().clone();
-    (take_all(case, &mut machine, &ids), stats)
+    (corpus::take(&mut machine, &case.operands), stats)
 }
 
 /// Replay observed by `observer`: final operands, stats and the modelled
@@ -195,8 +80,7 @@ fn run_observed<O: ExecutionObserver>(
     model: MachineModel,
     lookahead: usize,
 ) -> (Vec<Operand>, IoStats, TimeStats) {
-    let (inner, ids) = fresh_machine(case);
-    let mut machine = InstrumentedMachine::new(inner, model, observer, 0);
+    let mut machine = InstrumentedMachine::new(fresh_machine(case), model, observer, 0);
     Engine::execute_with(
         &mut machine,
         &case.schedule,
@@ -206,7 +90,7 @@ fn run_observed<O: ExecutionObserver>(
     let time = machine.time();
     let mut inner = machine.into_inner();
     let stats = inner.stats().clone();
-    (take_all(case, &mut inner, &ids), stats, time)
+    (corpus::take(&mut inner, &case.operands), stats, time)
 }
 
 #[test]

@@ -16,181 +16,56 @@
 
 use symla::matrix::generate::{self, SeededRng};
 use symla::prelude::*;
-use symla_baselines::{
-    ooc_chol_schedule, ooc_gemm_schedule, ooc_lu_schedule, ooc_syrk_schedule, ooc_trsm_schedule,
-    OocCholPlan, OocGemmPlan, OocLuPlan, OocSyrkPlan, OocTrsmPlan,
-};
+use symla_bench::corpus::{self, diagonally_dominant, Builder, Case, Operand};
 use symla_core::engine::{Engine, Schedule, WorkerRun};
 use symla_core::passes::{verify, PassPipeline};
-use symla_core::plan::{LbcPlan, TbsPlan, TbsTiledPlan};
-use symla_core::{lbc_schedule, tbs_schedule, tbs_tiled_schedule};
 use symla_matrix::generate::{random_lower_triangular, random_matrix_seeded, random_spd_seeded};
 use symla_matrix::{Matrix, SymMatrix};
 use symla_memory::{MachineConfig, MatrixId, SharedSlowMemory};
 
-/// A slow-memory operand, in the order it must be registered (machine ids
-/// are assigned sequentially, so position = id).
-#[derive(Clone, PartialEq, Debug)]
-enum Mat {
-    Dense(Matrix<f64>),
-    Sym(SymMatrix<f64>),
+/// Executes `schedule` on the case's operands and returns the final
+/// contents of every matrix.
+fn execute(case: &Case, schedule: &Schedule<f64>) -> Vec<Operand> {
+    let mut machine = OocMachine::new(MachineConfig::unlimited());
+    corpus::register(&mut machine, &case.operands);
+    Engine::execute(&mut machine, schedule).unwrap();
+    let dry = Engine::dry_run(schedule, "main");
+    assert_eq!(
+        machine.stats(),
+        &dry,
+        "{}: execute must match dry run",
+        case.name
+    );
+    corpus::take(&mut machine, &case.operands)
 }
 
-/// One algorithm instance: a schedule plus the machine contents it runs on.
-struct Case {
-    name: &'static str,
-    schedule: Schedule<f64>,
-    mats: Vec<Mat>,
-}
-
-impl Case {
-    fn machine(&self) -> OocMachine<f64> {
-        let mut machine = OocMachine::new(MachineConfig::unlimited());
-        for (i, mat) in self.mats.iter().enumerate() {
-            let got = match mat {
-                Mat::Dense(m) => machine.insert_dense(m.clone()),
-                Mat::Sym(s) => machine.insert_symmetric(s.clone()),
-            };
-            assert_eq!(got, MatrixId::synthetic(i as u64), "ids must reproduce");
-        }
-        machine
-    }
-
-    /// Executes `schedule` and returns the final contents of every matrix.
-    fn execute(&self, schedule: &Schedule<f64>) -> Vec<Mat> {
-        let mut machine = self.machine();
-        Engine::execute(&mut machine, schedule).unwrap();
-        let dry = Engine::dry_run(schedule, "main");
-        assert_eq!(
-            machine.stats(),
-            &dry,
-            "{}: execute must match dry run",
-            self.name
-        );
-        self.mats
-            .iter()
-            .enumerate()
-            .map(|(i, mat)| {
-                let id = MatrixId::synthetic(i as u64);
-                match mat {
-                    Mat::Dense(_) => Mat::Dense(machine.take_dense(id).unwrap()),
-                    Mat::Sym(_) => Mat::Sym(machine.take_symmetric(id).unwrap()),
-                }
-            })
-            .collect()
-    }
-}
-
-/// The eight schedule builders on seeded instances.
+/// The eight schedule builders on seeded instances. The symmetric `C`s and
+/// the TRSM factor come from one shared generator, in this order.
 fn all_cases() -> Vec<Case> {
-    let mut cases = Vec::new();
     let mut rng = SeededRng::seed_from_u64(0x0A55);
-
-    // --- SYRK family: A dense (id 0), C symmetric (id 1) ---
-    let (n, m, s) = (30, 6, 10);
-    let a: Matrix<f64> = random_matrix_seeded(n, m, 71);
-    let c: SymMatrix<f64> = generate::random_symmetric(n, &mut rng);
-    let a_ref = PanelRef::dense(MatrixId::synthetic(0), n, m);
-    let c_ref = SymWindowRef::full(MatrixId::synthetic(1), n);
-    cases.push(Case {
-        name: "tbs",
-        schedule: tbs_schedule(&a_ref, &c_ref, 1.0, &TbsPlan::for_memory(s).unwrap()).unwrap(),
-        mats: vec![Mat::Dense(a.clone()), Mat::Sym(c.clone())],
-    });
-    let (n, m, s) = (40, 6, 60);
-    let a40: Matrix<f64> = random_matrix_seeded(n, m, 72);
-    let c40: SymMatrix<f64> = generate::random_symmetric(n, &mut rng);
-    let a_ref = PanelRef::dense(MatrixId::synthetic(0), n, m);
-    let c_ref = SymWindowRef::full(MatrixId::synthetic(1), n);
-    cases.push(Case {
-        name: "tbs_tiled",
-        schedule: tbs_tiled_schedule(
-            &a_ref,
-            &c_ref,
-            -1.0,
-            &TbsTiledPlan::for_problem(s, n).unwrap(),
-        )
-        .unwrap(),
-        mats: vec![Mat::Dense(a40.clone()), Mat::Sym(c40.clone())],
-    });
-    let (n, m, s) = (20, 5, 35);
-    let a20: Matrix<f64> = random_matrix_seeded(n, m, 73);
-    let c20: SymMatrix<f64> = generate::random_symmetric(n, &mut rng);
-    let a_ref = PanelRef::dense(MatrixId::synthetic(0), n, m);
-    let c_ref = SymWindowRef::full(MatrixId::synthetic(1), n);
-    cases.push(Case {
-        name: "ooc_syrk",
-        schedule: ooc_syrk_schedule(&a_ref, &c_ref, 1.0, &OocSyrkPlan::for_memory(s).unwrap())
-            .unwrap(),
-        mats: vec![Mat::Dense(a20), Mat::Sym(c20)],
-    });
-
-    // --- factorizations on symmetric windows (id 0) ---
-    let (n, s) = (36, 48);
-    let spd: SymMatrix<f64> = random_spd_seeded(n, 74);
-    let window = SymWindowRef::full(MatrixId::synthetic(0), n);
-    cases.push(Case {
-        name: "lbc",
-        schedule: lbc_schedule(&window, &LbcPlan::for_problem(n, s).unwrap()).unwrap(),
-        mats: vec![Mat::Sym(spd.clone())],
-    });
-    let (n, s) = (24, 35);
-    let spd24: SymMatrix<f64> = random_spd_seeded(n, 75);
-    let window = SymWindowRef::full(MatrixId::synthetic(0), n);
-    cases.push(Case {
-        name: "ooc_chol",
-        schedule: ooc_chol_schedule(&window, &OocCholPlan::for_memory(s).unwrap()),
-        mats: vec![Mat::Sym(spd24)],
-    });
-
-    // --- TRSM: L symmetric (id 0), X dense (id 1) ---
-    let (mrows, b, s) = (9, 8, 24);
-    let lfac = random_lower_triangular::<f64>(b, &mut rng);
-    let lsym = SymMatrix::from_lower_fn(b, |i, j| lfac.get(i, j));
-    let x: Matrix<f64> = random_matrix_seeded(mrows, b, 76);
-    let l_ref = SymWindowRef::full(MatrixId::synthetic(0), b);
-    let x_ref = PanelRef::dense(MatrixId::synthetic(1), mrows, b);
-    cases.push(Case {
-        name: "ooc_trsm",
-        schedule: ooc_trsm_schedule(&l_ref, &x_ref, &OocTrsmPlan::for_memory(s).unwrap()).unwrap(),
-        mats: vec![Mat::Sym(lsym), Mat::Dense(x)],
-    });
-
-    // --- GEMM: three dense panels ---
-    let (gn, gm, gp, s) = (9, 7, 11, 35);
-    let ga: Matrix<f64> = random_matrix_seeded(gn, gm, 77);
-    let gb: Matrix<f64> = random_matrix_seeded(gm, gp, 78);
-    let gc: Matrix<f64> = random_matrix_seeded(gn, gp, 79);
-    cases.push(Case {
-        name: "ooc_gemm",
-        schedule: ooc_gemm_schedule(
-            &PanelRef::dense(MatrixId::synthetic(0), gn, gm),
-            &PanelRef::dense(MatrixId::synthetic(1), gm, gp),
-            &PanelRef::dense(MatrixId::synthetic(2), gn, gp),
+    let a: Matrix<f64> = random_matrix_seeded(30, 6, 71);
+    let c: SymMatrix<f64> = generate::random_symmetric(30, &mut rng);
+    let a40: Matrix<f64> = random_matrix_seeded(40, 6, 72);
+    let c40: SymMatrix<f64> = generate::random_symmetric(40, &mut rng);
+    let a20: Matrix<f64> = random_matrix_seeded(20, 5, 73);
+    let c20: SymMatrix<f64> = generate::random_symmetric(20, &mut rng);
+    let lfac = random_lower_triangular(8, &mut rng);
+    vec![
+        Case::syrk(Builder::Tbs, &a, &c, 1.0, 10),
+        Case::syrk(Builder::TbsTiled, &a40, &c40, -1.0, 60),
+        Case::syrk(Builder::OocSyrk, &a20, &c20, 1.0, 35),
+        Case::cholesky(Builder::Lbc, &random_spd_seeded(36, 74), 48),
+        Case::cholesky(Builder::OocChol, &random_spd_seeded(24, 75), 35),
+        Case::trsm(&lfac, &random_matrix_seeded(9, 8, 76), 24),
+        Case::gemm(
+            &random_matrix_seeded(9, 7, 77),
+            &random_matrix_seeded(7, 11, 78),
+            &random_matrix_seeded(9, 11, 79),
             0.5,
-            &OocGemmPlan::for_memory(s).unwrap(),
-        )
-        .unwrap(),
-        mats: vec![Mat::Dense(ga), Mat::Dense(gb), Mat::Dense(gc)],
-    });
-
-    // --- LU on a diagonally dominant dense matrix (id 0) ---
-    let (n, s) = (12, 35);
-    let mut lu = random_matrix_seeded::<f64>(n, n, 80);
-    for i in 0..n {
-        lu[(i, i)] += n as f64;
-    }
-    cases.push(Case {
-        name: "ooc_lu",
-        schedule: ooc_lu_schedule(
-            &PanelRef::dense(MatrixId::synthetic(0), n, n),
-            &OocLuPlan::for_memory(s).unwrap(),
-        )
-        .unwrap(),
-        mats: vec![Mat::Dense(lu)],
-    });
-
-    cases
+            35,
+        ),
+        Case::lu(&diagonally_dominant(random_matrix_seeded(12, 12, 80)), 35),
+    ]
 }
 
 fn assert_transfers_monotone(seed: &symla_memory::IoStats, opt: &symla_memory::IoStats, ctx: &str) {
@@ -218,7 +93,7 @@ fn assert_transfers_monotone(seed: &symla_memory::IoStats, opt: &symla_memory::I
 fn all_eight_builders_survive_both_pipelines_bitwise() {
     for case in all_cases() {
         let seed_dry = Engine::dry_run(&case.schedule, "main");
-        let seed_result = case.execute(&case.schedule);
+        let seed_result = execute(&case, &case.schedule);
         let budget = seed_dry.peak_resident + seed_dry.peak_resident / 2;
         for pipeline in [
             PassPipeline::standard(),
@@ -240,7 +115,7 @@ fn all_eight_builders_survive_both_pipelines_bitwise() {
             for stage in &optimized.stages {
                 assert_transfers_monotone(&stage.before, &stage.after, &ctx);
             }
-            let opt_result = case.execute(&optimized.schedule);
+            let opt_result = execute(&case, &optimized.schedule);
             assert_eq!(
                 seed_result, opt_result,
                 "{ctx}: results must be bitwise equal"
@@ -254,7 +129,10 @@ fn tiled_tbs_and_lbc_square_show_strictly_positive_savings() {
     // the acceptance criterion: at least one paper algorithm saves
     // strictly positive measured transfers
     let cases = all_cases();
-    let tiled = cases.iter().find(|c| c.name == "tbs_tiled").unwrap();
+    let tiled = cases
+        .iter()
+        .find(|c| c.builder == Builder::TbsTiled)
+        .unwrap();
     let opt = PassPipeline::standard()
         .manager::<f64>()
         .optimize(&tiled.schedule, "main")
@@ -274,7 +152,10 @@ fn tiled_tbs_and_lbc_square_show_strictly_positive_savings() {
 
     // TRSM with slack: the locality pipeline eliminates re-loaded L
     // segments outright (volume, not just events)
-    let trsm = cases.iter().find(|c| c.name == "ooc_trsm").unwrap();
+    let trsm = cases
+        .iter()
+        .find(|c| c.builder == Builder::OocTrsm)
+        .unwrap();
     let seed_peak = Engine::dry_run(&trsm.schedule, "main").peak_resident;
     let opt = PassPipeline::locality(Some(2 * seed_peak))
         .manager::<f64>()
@@ -330,14 +211,10 @@ fn optimized_independent_schedules_replay_in_parallel() {
     let a: Matrix<f64> = random_matrix_seeded(n, m, 90);
     let mut rng = SeededRng::seed_from_u64(0x9111);
     let c: SymMatrix<f64> = generate::random_symmetric(n, &mut rng);
-    let a_ref = PanelRef::dense(MatrixId::synthetic(0), n, m);
-    let c_ref = SymWindowRef::full(MatrixId::synthetic(1), n);
-    let schedule =
-        ooc_syrk_schedule::<f64>(&a_ref, &c_ref, 1.0, &OocSyrkPlan::for_memory(s).unwrap())
-            .unwrap();
+    let case = Case::syrk(Builder::OocSyrk, &a, &c, 1.0, s);
     let optimized = PassPipeline::standard()
         .manager::<f64>()
-        .optimize(&schedule, "main")
+        .optimize(&case.schedule, "main")
         .unwrap();
     assert!(
         optimized.events_saved() > 0,
@@ -346,19 +223,14 @@ fn optimized_independent_schedules_replay_in_parallel() {
 
     // serial reference on the seed schedule
     let mut machine = OocMachine::new(MachineConfig::with_capacity(s));
-    let sa = machine.insert_dense(a.clone());
-    let sc = machine.insert_symmetric(c.clone());
-    assert_eq!(sa, MatrixId::synthetic(0));
-    assert_eq!(sc, MatrixId::synthetic(1));
-    Engine::execute(&mut machine, &schedule).unwrap();
-    let expected = machine.take_symmetric(sc).unwrap();
+    corpus::register(&mut machine, &case.operands);
+    Engine::execute(&mut machine, &case.schedule).unwrap();
+    let c_id = MatrixId::synthetic(1);
+    let expected = machine.take_symmetric(c_id).unwrap();
 
     for workers in [1, 2, 4] {
-        let shared = SharedSlowMemory::new();
-        let pa = shared.insert_dense(a.clone());
-        let pc = shared.insert_symmetric(c.clone());
-        assert_eq!(pa, MatrixId::synthetic(0));
-        assert_eq!(pc, MatrixId::synthetic(1));
+        let mut shared = SharedSlowMemory::new();
+        corpus::register(&mut shared, &case.operands);
         let runs = Engine::execute_parallel(
             &shared,
             &optimized.schedule,
@@ -372,7 +244,7 @@ fn optimized_independent_schedules_replay_in_parallel() {
             optimized.final_stats,
             "P={workers}: merged worker stats must equal the optimized dry run"
         );
-        let got = shared.take_symmetric(pc).unwrap();
+        let got = shared.take_symmetric(c_id).unwrap();
         assert!(
             got.approx_eq(&expected, 0.0),
             "P={workers}: parallel optimized result differs from serial seed"

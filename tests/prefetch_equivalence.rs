@@ -26,66 +26,9 @@
 
 use symla::matrix::generate::{self, SeededRng};
 use symla::prelude::*;
-use symla_baselines::{
-    ooc_chol_schedule, ooc_gemm_schedule, ooc_lu_schedule, ooc_syrk_schedule, ooc_trsm_schedule,
-};
-use symla_core::engine::{Engine, Schedule, WorkerRun};
+use symla_bench::corpus::{self, diagonally_dominant, Builder, Case, Operand};
+use symla_core::engine::{Engine, WorkerRun};
 use symla_memory::SharedSlowMemory;
-
-/// One sweep case: a schedule, the capacity it was planned for, its
-/// slow-memory operands (insertion order = synthetic ids) and whether its
-/// groups are independent (parallel-legal).
-struct Case {
-    name: String,
-    schedule: Schedule<f64>,
-    capacity: usize,
-    operands: Vec<Operand>,
-    parallel_ok: bool,
-}
-
-#[derive(Clone)]
-enum Operand {
-    Dense(Matrix<f64>),
-    Sym(SymMatrix<f64>),
-}
-
-impl Operand {
-    fn insert_serial(&self, machine: &mut OocMachine<f64>) -> MatrixId {
-        match self {
-            Operand::Dense(m) => machine.insert_dense(m.clone()),
-            Operand::Sym(s) => machine.insert_symmetric(s.clone()),
-        }
-    }
-
-    fn insert_shared(&self, shared: &SharedSlowMemory<f64>) -> MatrixId {
-        match self {
-            Operand::Dense(m) => shared.insert_dense(m.clone()),
-            Operand::Sym(s) => shared.insert_symmetric(s.clone()),
-        }
-    }
-
-    fn take_serial(&self, machine: &mut OocMachine<f64>, id: MatrixId) -> Operand {
-        match self {
-            Operand::Dense(_) => Operand::Dense(machine.take_dense(id).unwrap()),
-            Operand::Sym(_) => Operand::Sym(machine.take_symmetric(id).unwrap()),
-        }
-    }
-
-    fn take_shared(&self, shared: &SharedSlowMemory<f64>, id: MatrixId) -> Operand {
-        match self {
-            Operand::Dense(_) => Operand::Dense(shared.take_dense(id).unwrap()),
-            Operand::Sym(_) => Operand::Sym(shared.take_symmetric(id).unwrap()),
-        }
-    }
-
-    fn bitwise_eq(&self, other: &Operand) -> bool {
-        match (self, other) {
-            (Operand::Dense(a), Operand::Dense(b)) => a == b,
-            (Operand::Sym(a), Operand::Sym(b)) => a == b,
-            _ => false,
-        }
-    }
-}
 
 /// Builds the seeded sweep: one instance of each of the eight builders.
 fn sweep_cases(rng: &mut SeededRng) -> Vec<Case> {
@@ -93,115 +36,26 @@ fn sweep_cases(rng: &mut SeededRng) -> Vec<Case> {
     let (n, m, s) = (36, 6, 60);
     let a = generate::random_matrix_seeded::<f64>(n, m, seed);
     let c0 = generate::random_symmetric::<f64>(n, &mut generate::seeded_rng(seed + 1));
-    let a_ref = PanelRef::dense(MatrixId::synthetic(0), n, m);
-    let c_ref = SymWindowRef::full(MatrixId::synthetic(1), n);
-    let update_ops = vec![Operand::Dense(a.clone()), Operand::Sym(c0.clone())];
-
-    let mut cases = vec![
-        Case {
-            name: "OOC_SYRK".into(),
-            schedule: ooc_syrk_schedule(&a_ref, &c_ref, 1.5, &OocSyrkPlan::for_memory(s).unwrap())
-                .unwrap(),
-            capacity: s,
-            operands: update_ops.clone(),
-            parallel_ok: true,
-        },
-        Case {
-            name: "TBS".into(),
-            schedule: tbs_schedule(&a_ref, &c_ref, -1.0, &TbsPlan::for_memory(s).unwrap()).unwrap(),
-            capacity: s,
-            operands: update_ops.clone(),
-            parallel_ok: true,
-        },
-        Case {
-            name: "TBS(tiled)".into(),
-            schedule: tbs_tiled_schedule(
-                &a_ref,
-                &c_ref,
-                1.0,
-                &TbsTiledPlan::for_problem(s, n).unwrap(),
-            )
-            .unwrap(),
-            capacity: s,
-            operands: update_ops.clone(),
-            parallel_ok: true,
-        },
-    ];
-
-    // GEMM: three dense operands, one group per C tile.
-    let (gn, gb, gp, gs) = (20, 6, 10, 40);
-    let ga = generate::random_matrix_seeded::<f64>(gn, gb, seed + 2);
-    let gbm = generate::random_matrix_seeded::<f64>(gb, gp, seed + 3);
-    let gc = generate::random_matrix_seeded::<f64>(gn, gp, seed + 4);
-    cases.push(Case {
-        name: "OOC_GEMM".into(),
-        schedule: ooc_gemm_schedule(
-            &PanelRef::dense(MatrixId::synthetic(0), gn, gb),
-            &PanelRef::dense(MatrixId::synthetic(1), gb, gp),
-            &PanelRef::dense(MatrixId::synthetic(2), gn, gp),
+    // The factorizations share one SPD operand.
+    let spd = generate::random_spd_seeded::<f64>(30, seed + 5);
+    let lu = diagonally_dominant(generate::random_matrix_seeded(18, 18, seed + 6));
+    let lfac = generate::random_lower_triangular(10, &mut generate::seeded_rng(seed + 7));
+    vec![
+        Case::syrk(Builder::OocSyrk, &a, &c0, 1.5, s),
+        Case::syrk(Builder::Tbs, &a, &c0, -1.0, s),
+        Case::syrk(Builder::TbsTiled, &a, &c0, 1.0, s),
+        Case::gemm(
+            &generate::random_matrix_seeded(20, 6, seed + 2),
+            &generate::random_matrix_seeded(6, 10, seed + 3),
+            &generate::random_matrix_seeded(20, 10, seed + 4),
             2.0,
-            &OocGemmPlan::for_memory(gs).unwrap(),
-        )
-        .unwrap(),
-        capacity: gs,
-        operands: vec![Operand::Dense(ga), Operand::Dense(gbm), Operand::Dense(gc)],
-        parallel_ok: true,
-    });
-
-    // The factorizations and the solve: groups ordered through slow memory,
-    // serial only.
-    let (fn_, fs) = (30, 40);
-    let spd = generate::random_spd_seeded::<f64>(fn_, seed + 5);
-    let window = SymWindowRef::full(MatrixId::synthetic(0), fn_);
-    cases.push(Case {
-        name: "OOC_CHOL".into(),
-        schedule: ooc_chol_schedule(&window, &OocCholPlan::for_memory(fs).unwrap()),
-        capacity: fs,
-        operands: vec![Operand::Sym(spd.clone())],
-        parallel_ok: false,
-    });
-    cases.push(Case {
-        name: "LBC".into(),
-        schedule: lbc_schedule(&window, &LbcPlan::for_problem(fn_, fs).unwrap()).unwrap(),
-        capacity: fs,
-        operands: vec![Operand::Sym(spd)],
-        parallel_ok: false,
-    });
-
-    let mut lu = generate::random_matrix_seeded::<f64>(18, 18, seed + 6);
-    for i in 0..18 {
-        lu[(i, i)] += 18.0;
-    }
-    cases.push(Case {
-        name: "OOC_LU".into(),
-        schedule: ooc_lu_schedule(
-            &PanelRef::dense(MatrixId::synthetic(0), 18, 18),
-            &OocLuPlan::for_memory(40).unwrap(),
-        )
-        .unwrap(),
-        capacity: 40,
-        operands: vec![Operand::Dense(lu)],
-        parallel_ok: false,
-    });
-
-    let (tm, tb, ts) = (12, 10, 40);
-    let mut trng = generate::seeded_rng(seed + 7);
-    let lfac = generate::random_lower_triangular::<f64>(tb, &mut trng);
-    let lsym = SymMatrix::from_lower_fn(tb, |i, j| lfac.get(i, j));
-    let x = generate::random_matrix_seeded::<f64>(tm, tb, seed + 8);
-    cases.push(Case {
-        name: "OOC_TRSM".into(),
-        schedule: ooc_trsm_schedule(
-            &SymWindowRef::full(MatrixId::synthetic(0), tb),
-            &PanelRef::dense(MatrixId::synthetic(1), tm, tb),
-            &OocTrsmPlan::for_memory(ts).unwrap(),
-        )
-        .unwrap(),
-        capacity: ts,
-        operands: vec![Operand::Sym(lsym), Operand::Dense(x)],
-        parallel_ok: false,
-    });
-    cases
+            40,
+        ),
+        Case::cholesky(Builder::OocChol, &spd, 40),
+        Case::cholesky(Builder::Lbc, &spd, 40),
+        Case::lu(&lu, 40),
+        Case::trsm(&lfac, &generate::random_matrix_seeded(12, 10, seed + 8), 40),
+    ]
 }
 
 /// Serial execution of a case at one lookahead, returning the final
@@ -210,11 +64,7 @@ fn run_serial(case: &Case, lookahead: usize) -> (Vec<Operand>, IoStats) {
     let config = EngineConfig::with_lookahead(lookahead);
     let mut machine =
         OocMachine::new(MachineConfig::with_capacity(case.capacity).record_trace(true));
-    let ids: Vec<MatrixId> = case
-        .operands
-        .iter()
-        .map(|o| o.insert_serial(&mut machine))
-        .collect();
+    corpus::register(&mut machine, &case.operands);
     Engine::execute_with(&mut machine, &case.schedule, &config).unwrap();
 
     let dry = Engine::dry_run_with(&case.schedule, "main", &config, Some(case.capacity));
@@ -233,12 +83,7 @@ fn run_serial(case: &Case, lookahead: usize) -> (Vec<Operand>, IoStats) {
     );
 
     let stats = machine.stats().clone();
-    let out = ids
-        .iter()
-        .zip(&case.operands)
-        .map(|(&id, op)| op.take_serial(&mut machine, id))
-        .collect();
-    (out, stats)
+    (corpus::take(&mut machine, &case.operands), stats)
 }
 
 #[test]
@@ -253,9 +98,7 @@ fn prefetch_sweep_all_builders_serial() {
             let ctx = format!("{} L={lookahead}", case.name);
 
             // 1. bitwise results
-            for (got, want) in out.iter().zip(&baseline) {
-                assert!(got.bitwise_eq(want), "{ctx}: result drifted");
-            }
+            assert!(out == baseline, "{ctx}: result drifted");
             // 3. capacity
             assert!(
                 stats.peak_resident <= case.capacity,
@@ -278,7 +121,7 @@ fn prefetch_sweep_all_builders_serial() {
             );
             prev_stalled = stats.stalled_loads();
             // 6. the update kernels overlap for real at lookahead >= 1
-            if matches!(case.name.as_str(), "TBS(tiled)" | "OOC_GEMM") {
+            if matches!(case.builder, Builder::TbsTiled | Builder::OocGemm) {
                 assert!(
                     stats.prefetched_elements > 0,
                     "{ctx}: expected strictly positive overlap"
@@ -292,18 +135,14 @@ fn prefetch_sweep_all_builders_serial() {
 fn prefetch_sweep_parallel_matches_serial() {
     let mut rng = SeededRng::seed_from_u64(0xFE7C);
     for case in sweep_cases(&mut rng) {
-        if !case.parallel_ok {
+        if !case.independent_groups() {
             continue;
         }
         let (baseline, plain) = run_serial(&case, 0);
         for workers in [1usize, 4] {
             for lookahead in [0usize, 1, 2] {
-                let shared = SharedSlowMemory::new();
-                let ids: Vec<MatrixId> = case
-                    .operands
-                    .iter()
-                    .map(|o| o.insert_shared(&shared))
-                    .collect();
+                let mut shared = SharedSlowMemory::new();
+                corpus::register(&mut shared, &case.operands);
                 let runs = Engine::execute_parallel_with(
                     &shared,
                     &case.schedule,
@@ -334,10 +173,8 @@ fn prefetch_sweep_parallel_matches_serial() {
                     assert_eq!(merged.prefetched_elements, 0, "{ctx}");
                 }
 
-                for (&id, want) in ids.iter().zip(&baseline) {
-                    let got = want.take_shared(&shared, id);
-                    assert!(got.bitwise_eq(want), "{ctx}: result drifted");
-                }
+                let out = corpus::take(&mut shared, &case.operands);
+                assert!(out == baseline, "{ctx}: result drifted");
             }
         }
     }

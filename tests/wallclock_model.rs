@@ -21,139 +21,37 @@
 
 use symla::matrix::generate;
 use symla::prelude::*;
-use symla_baselines::{
-    ooc_chol_schedule, ooc_gemm_schedule, ooc_lu_schedule, ooc_syrk_schedule, ooc_trsm_schedule,
-};
-
-/// One sweep case: a schedule, the capacity it was planned for, its operands
-/// (insertion order = synthetic ids) and whether the acceptance gate demands
-/// strictly positive hidden time at `lookahead = 1`.
-struct Case {
-    name: &'static str,
-    schedule: Schedule<f64>,
-    capacity: usize,
-    operands: Vec<Operand>,
-    must_hide: bool,
-}
-
-#[derive(Clone, PartialEq)]
-enum Operand {
-    Dense(Matrix<f64>),
-    Sym(SymMatrix<f64>),
-}
+use symla_bench::corpus::{self, diagonally_dominant, Builder, Case, Operand};
 
 fn sweep_cases() -> Vec<Case> {
     let (n, m, s) = (36, 6, 60);
     let a = generate::random_matrix_seeded::<f64>(n, m, 900);
     let c0 = generate::random_symmetric::<f64>(n, &mut generate::seeded_rng(901));
-    let a_ref = PanelRef::dense(MatrixId::synthetic(0), n, m);
-    let c_ref = SymWindowRef::full(MatrixId::synthetic(1), n);
-    let update_ops = vec![Operand::Dense(a), Operand::Sym(c0)];
-
-    let mut cases = vec![
-        Case {
-            name: "TBS",
-            schedule: tbs_schedule(&a_ref, &c_ref, -1.0, &TbsPlan::for_memory(s).unwrap()).unwrap(),
-            capacity: s,
-            operands: update_ops.clone(),
-            must_hide: false,
-        },
-        Case {
-            name: "TBS(tiled)",
-            schedule: tbs_tiled_schedule(
-                &a_ref,
-                &c_ref,
-                1.0,
-                &TbsTiledPlan::for_problem(s, n).unwrap(),
-            )
-            .unwrap(),
-            capacity: s,
-            operands: update_ops.clone(),
-            must_hide: true,
-        },
-        Case {
-            name: "OOC_SYRK",
-            schedule: ooc_syrk_schedule(&a_ref, &c_ref, 1.5, &OocSyrkPlan::for_memory(s).unwrap())
-                .unwrap(),
-            capacity: s,
-            operands: update_ops,
-            must_hide: false,
-        },
-    ];
-
-    let (gn, gb, gp, gs) = (20, 6, 10, 40);
-    cases.push(Case {
-        name: "OOC_GEMM",
-        schedule: ooc_gemm_schedule(
-            &PanelRef::dense(MatrixId::synthetic(0), gn, gb),
-            &PanelRef::dense(MatrixId::synthetic(1), gb, gp),
-            &PanelRef::dense(MatrixId::synthetic(2), gn, gp),
+    let spd = generate::random_spd_seeded::<f64>(30, 905);
+    let lu = diagonally_dominant(generate::random_matrix_seeded(18, 18, 906));
+    let lfac = generate::random_lower_triangular(10, &mut generate::seeded_rng(907));
+    vec![
+        Case::syrk(Builder::Tbs, &a, &c0, -1.0, s),
+        Case::syrk(Builder::TbsTiled, &a, &c0, 1.0, s),
+        Case::syrk(Builder::OocSyrk, &a, &c0, 1.5, s),
+        Case::gemm(
+            &generate::random_matrix_seeded(20, 6, 902),
+            &generate::random_matrix_seeded(6, 10, 903),
+            &generate::random_matrix_seeded(20, 10, 904),
             2.0,
-            &OocGemmPlan::for_memory(gs).unwrap(),
-        )
-        .unwrap(),
-        capacity: gs,
-        operands: vec![
-            Operand::Dense(generate::random_matrix_seeded::<f64>(gn, gb, 902)),
-            Operand::Dense(generate::random_matrix_seeded::<f64>(gb, gp, 903)),
-            Operand::Dense(generate::random_matrix_seeded::<f64>(gn, gp, 904)),
-        ],
-        must_hide: true,
-    });
+            40,
+        ),
+        Case::cholesky(Builder::OocChol, &spd, 40),
+        Case::cholesky(Builder::Lbc, &spd, 40),
+        Case::lu(&lu, 40),
+        Case::trsm(&lfac, &generate::random_matrix_seeded(12, 10, 908), 40),
+    ]
+}
 
-    let (fn_, fs) = (30, 40);
-    let spd = generate::random_spd_seeded::<f64>(fn_, 905);
-    let window = SymWindowRef::full(MatrixId::synthetic(0), fn_);
-    cases.push(Case {
-        name: "OOC_CHOL",
-        schedule: ooc_chol_schedule(&window, &OocCholPlan::for_memory(fs).unwrap()),
-        capacity: fs,
-        operands: vec![Operand::Sym(spd.clone())],
-        must_hide: false,
-    });
-    cases.push(Case {
-        name: "LBC",
-        schedule: lbc_schedule(&window, &LbcPlan::for_problem(fn_, fs).unwrap()).unwrap(),
-        capacity: fs,
-        operands: vec![Operand::Sym(spd)],
-        must_hide: false,
-    });
-
-    let mut lu = generate::random_matrix_seeded::<f64>(18, 18, 906);
-    for i in 0..18 {
-        lu[(i, i)] += 18.0;
-    }
-    cases.push(Case {
-        name: "OOC_LU",
-        schedule: ooc_lu_schedule(
-            &PanelRef::dense(MatrixId::synthetic(0), 18, 18),
-            &OocLuPlan::for_memory(40).unwrap(),
-        )
-        .unwrap(),
-        capacity: 40,
-        operands: vec![Operand::Dense(lu)],
-        must_hide: false,
-    });
-
-    let (tm, tb, ts) = (12, 10, 40);
-    let lfac = generate::random_lower_triangular::<f64>(tb, &mut generate::seeded_rng(907));
-    let lsym = SymMatrix::from_lower_fn(tb, |i, j| lfac.get(i, j));
-    cases.push(Case {
-        name: "OOC_TRSM",
-        schedule: ooc_trsm_schedule(
-            &SymWindowRef::full(MatrixId::synthetic(0), tb),
-            &PanelRef::dense(MatrixId::synthetic(1), tm, tb),
-            &OocTrsmPlan::for_memory(ts).unwrap(),
-        )
-        .unwrap(),
-        capacity: ts,
-        operands: vec![
-            Operand::Sym(lsym),
-            Operand::Dense(generate::random_matrix_seeded::<f64>(tm, tb, 908)),
-        ],
-        must_hide: false,
-    });
-    cases
+/// Whether the acceptance gate demands strictly positive hidden time at
+/// `lookahead = 1`: the update-style kernels, tiled TBS and OOC-GEMM.
+fn must_hide(case: &Case) -> bool {
+    matches!(case.builder, Builder::TbsTiled | Builder::OocGemm)
 }
 
 /// Executes the case at one lookahead inside a [`LatencyMachine`], returning
@@ -164,26 +62,11 @@ fn run_timed(case: &Case, model: MachineModel, lookahead: usize) -> (Vec<Operand
         OocMachine::<f64>::new(MachineConfig::with_capacity(case.capacity)),
         model,
     );
-    let ids: Vec<MatrixId> = case
-        .operands
-        .iter()
-        .map(|o| match o {
-            Operand::Dense(m) => machine.inner_mut().insert_dense(m.clone()),
-            Operand::Sym(s) => machine.inner_mut().insert_symmetric(s.clone()),
-        })
-        .collect();
+    corpus::register(machine.inner_mut(), &case.operands);
     Engine::execute_with(&mut machine, &case.schedule, &config).unwrap();
     let time = machine.time();
     let mut inner = machine.into_inner();
-    let out = ids
-        .iter()
-        .zip(&case.operands)
-        .map(|(&id, op)| match op {
-            Operand::Dense(_) => Operand::Dense(inner.take_dense(id).unwrap()),
-            Operand::Sym(_) => Operand::Sym(inner.take_symmetric(id).unwrap()),
-        })
-        .collect();
-    (out, time)
+    (corpus::take(&mut inner, &case.operands), time)
 }
 
 fn assert_time_eq(measured: &TimeStats, modelled: &TimeStats, ctx: &str) {
@@ -240,7 +123,7 @@ fn model_equals_measurement_for_every_builder() {
                 prev_total = measured.total_ns();
 
                 // 4. the update kernels hide real time at lookahead >= 1.
-                if lookahead >= 1 && case.must_hide {
+                if lookahead >= 1 && must_hide(&case) {
                     assert!(
                         measured.hidden_ns > 0.0,
                         "{ctx}: expected strictly positive hidden time"
