@@ -13,12 +13,16 @@
 //!    the modelled total never *increases* with the lookahead (prefetching
 //!    must never be modelled slower);
 //! 3. times the same execution for real (`time_median`, warm-up + median of
-//!    N) and reports both clocks side by side.
+//!    N) and reports both clocks side by side. Prefetch planning is timed on
+//!    its own; the replay is timed through [`Engine::execute_planned`] with
+//!    the plan built beforehand.
 //!
 //! The update-style paper kernels (tiled TBS, OOC-GEMM) must additionally
 //! show a strictly positive modelled speedup at `lookahead = 1`. The blocked
 //! micro-kernels must agree bitwise with the naive reference kernels and not
-//! run slower than `1/MICRO_SLACK` of their speed; and the lookahead-0
+//! run slower than `1/MICRO_SLACK` of their speed (each row names the
+//! dispatch path the blocked kernel ran on, `fma` or `portable`; the naive
+//! references are always portable); and the lookahead-0
 //! replay against the file-backed slow memory must reproduce the simulated
 //! machine's results and accounting exactly. Any violation exits non-zero —
 //! this is the CI smoke gate (`--smoke` runs the small instance set and
@@ -36,12 +40,13 @@ use std::fmt::Write as _;
 use std::time::Duration;
 use symla_bench::corpus::{self, diagonally_dominant, Builder, Case, Operand};
 use symla_bench::harness::time_median;
-use symla_core::engine::{modelled_time, Engine, EngineConfig};
+use symla_core::engine::{modelled_time, Engine, EngineConfig, PrefetchPlan};
 use symla_matrix::generate::{
     random_lower_triangular, random_matrix_seeded, random_spd_seeded, random_symmetric, seeded_rng,
 };
 use symla_matrix::kernels::micro::{ger_view_blocked, spr_lower_view_blocked, DEFAULT_ROW_TILE};
 use symla_matrix::kernels::views::{ger_view, spr_lower_view};
+use symla_matrix::kernels::{kernel_path, KernelPath};
 use symla_matrix::packed::packed_len;
 use symla_matrix::views::{MatViewMut, PackedLowerViewMut};
 use symla_memory::{
@@ -70,16 +75,23 @@ fn execute_timed(case: &Case, model: &MachineModel, lookahead: usize) -> (Vec<Op
     (corpus::take(&mut inner, &case.operands), time)
 }
 
-/// Real elapsed time of one full execution (machine setup + replay) at the
-/// given lookahead: warm-up plus median of `samples`.
-fn real_elapsed(case: &Case, lookahead: usize, samples: usize) -> Duration {
-    let config = EngineConfig::with_lookahead(lookahead);
-    time_median(1, samples, || {
+/// Real elapsed times at the given lookahead, each a warm-up plus median of
+/// `samples`: `(plan, replay)`. `plan` is the prefetch planning alone;
+/// `replay` is one execution (machine setup + replay) with the plan built
+/// once beforehand, so planning never lands in the replay time.
+fn real_elapsed(case: &Case, lookahead: usize, samples: usize) -> (Duration, Duration) {
+    let capacity = Some(case.capacity);
+    let plan_time = time_median(1, samples, || {
+        PrefetchPlan::for_lookahead(&case.schedule, lookahead, capacity)
+    });
+    let plan = PrefetchPlan::for_lookahead(&case.schedule, lookahead, capacity);
+    let replay_time = time_median(1, samples, || {
         let mut machine = OocMachine::<f64>::new(MachineConfig::with_capacity(case.capacity));
         corpus::register(&mut machine, &case.operands);
-        Engine::execute_with(&mut machine, &case.schedule, &config).expect("replay");
+        Engine::execute_planned(&mut machine, &case.schedule, &plan).expect("replay");
         machine
-    })
+    });
+    (plan_time, replay_time)
 }
 
 /// Replays the schedule (lookahead 0) against the **file-backed** slow
@@ -168,15 +180,27 @@ struct Row {
     memory: usize,
     lookahead: usize,
     time: TimeStats,
+    plan: Duration,
     real: Duration,
+}
+
+/// One micro-kernel row: the naive reference against the blocked kernel.
+struct KernelTiming {
+    name: &'static str,
+    naive: Duration,
+    blocked: Duration,
+    bitwise_equal: bool,
+    /// The dispatch path the blocked kernel ran on. The naive reference is
+    /// always portable, so on the FMA path `bitwise_equal` compares hardware
+    /// against software fused multiply-add.
+    path: KernelPath,
 }
 
 /// Times the blocked micro-kernels against their naive references on the
 /// shapes the engine actually feeds them: tall-skinny panels whose `x`
 /// exceeds L1, where row-tiling pays (the reference re-streams `x` per
-/// column; the tile stays cache-hot across all columns). Returns
-/// `(name, naive_median, blocked_median, bitwise_equal)` per kernel.
-fn micro_kernel_timings(samples: usize) -> Vec<(&'static str, Duration, Duration, bool)> {
+/// column; the tile stays cache-hot across all columns).
+fn micro_kernel_timings(samples: usize) -> Vec<KernelTiming> {
     let rows = 120_000;
     let cols = 10;
     let x: Vec<f64> = (0..rows).map(|i| (i as f64 * 0.37).sin()).collect();
@@ -201,7 +225,13 @@ fn micro_kernel_timings(samples: usize) -> Vec<(&'static str, Duration, Duration
         let mut v = MatViewMut::new(&mut blocked_result, rows, cols).unwrap();
         ger_view_blocked(1.0625, &x, &y, &mut v, DEFAULT_ROW_TILE).unwrap();
     });
-    out.push(("ger", naive, blocked, naive_result == blocked_result));
+    out.push(KernelTiming {
+        name: "ger",
+        naive,
+        blocked,
+        bitwise_equal: naive_result == blocked_result,
+        path: kernel_path(),
+    });
 
     let xs: Vec<f64> = (0..n).map(|i| (i as f64 * 0.53).sin()).collect();
     let mut naive_result = packed0.clone();
@@ -216,7 +246,13 @@ fn micro_kernel_timings(samples: usize) -> Vec<(&'static str, Duration, Duration
         let mut v = PackedLowerViewMut::new(&mut blocked_result, n).unwrap();
         spr_lower_view_blocked(-0.5, &xs, &mut v, DEFAULT_ROW_TILE).unwrap();
     });
-    out.push(("spr_lower", naive, blocked, naive_result == blocked_result));
+    out.push(KernelTiming {
+        name: "spr_lower",
+        naive,
+        blocked,
+        bitwise_equal: naive_result == blocked_result,
+        path: kernel_path(),
+    });
 
     out
 }
@@ -225,11 +261,7 @@ fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
-fn write_json(
-    rows: &[Row],
-    kernels: &[(&'static str, Duration, Duration, bool)],
-    model: &MachineModel,
-) -> std::io::Result<()> {
+fn write_json(rows: &[Row], kernels: &[KernelTiming], model: &MachineModel) -> std::io::Result<()> {
     let mut out = String::from("{\n");
     let _ = writeln!(
         out,
@@ -243,7 +275,7 @@ fn write_json(
             out,
             "    {{ \"algorithm\": \"{}\", \"memory\": {}, \"lookahead\": {}, \
              \"modelled_ns\": {:.3}, \"io_ns\": {:.3}, \"compute_ns\": {:.3}, \
-             \"hidden_ns\": {:.3}, \"modelled_speedup\": {:.6}, \"real_ns\": {} }}{}",
+             \"hidden_ns\": {:.3}, \"modelled_speedup\": {:.6}, \"plan_ns\": {}, \"real_ns\": {} }}{}",
             json_escape(&row.algorithm),
             row.memory,
             row.lookahead,
@@ -252,20 +284,22 @@ fn write_json(
             row.time.compute_ns,
             row.time.hidden_ns,
             row.time.speedup(),
+            row.plan.as_nanos(),
             row.real.as_nanos(),
             if i + 1 == rows.len() { "" } else { "," }
         );
     }
     out.push_str("  ],\n  \"kernels\": [\n");
-    for (i, (name, naive, blocked, bitwise)) in kernels.iter().enumerate() {
+    for (i, k) in kernels.iter().enumerate() {
         let _ = writeln!(
             out,
-            "    {{ \"kernel\": \"{}\", \"naive_ns\": {}, \"blocked_ns\": {}, \
-             \"bitwise_equal\": {} }}{}",
-            name,
-            naive.as_nanos(),
-            blocked.as_nanos(),
-            bitwise,
+            "    {{ \"kernel\": \"{}\", \"path\": \"{}\", \"naive_ns\": {}, \
+             \"blocked_ns\": {}, \"bitwise_equal\": {} }}{}",
+            k.name,
+            k.path.name(),
+            k.naive.as_nanos(),
+            k.blocked.as_nanos(),
+            k.bitwise_equal,
             if i + 1 == kernels.len() { "" } else { "," }
         );
     }
@@ -281,8 +315,8 @@ fn main() {
     let model = MachineModel::nvme();
 
     println!(
-        "{:<26} {:>4} {:>2} {:>14} {:>12} {:>8} {:>12}  check",
-        "algorithm", "S", "L", "modelled ns", "hidden ns", "speedup", "real",
+        "{:<26} {:>4} {:>2} {:>14} {:>12} {:>8} {:>12} {:>12}  check",
+        "algorithm", "S", "L", "modelled ns", "hidden ns", "speedup", "plan", "real",
     );
     let mut failures = 0;
     let mut rows: Vec<Row> = Vec::new();
@@ -293,7 +327,7 @@ fn main() {
         for lookahead in [0usize, 1, 2] {
             let (result, measured) = execute_timed(&case, &model, lookahead);
             let modelled = modelled_time(&case.schedule, &model, lookahead, Some(case.capacity));
-            let real = real_elapsed(&case, lookahead, samples);
+            let (plan, real) = real_elapsed(&case, lookahead, samples);
             let mut checks: Vec<&str> = Vec::new();
             if measured.io_ns.to_bits() != modelled.io_ns.to_bits()
                 || measured.compute_ns.to_bits() != modelled.compute_ns.to_bits()
@@ -329,7 +363,7 @@ fn main() {
                 failures += 1;
             }
             println!(
-                "{:<26} {:>4} {:>2} {:>14.1} {:>12.1} {:>7.3}x {:>12.1?}  {}",
+                "{:<26} {:>4} {:>2} {:>14.1} {:>12.1} {:>7.3}x {:>12.1?} {:>12.1?}  {}",
                 case.name,
                 case.capacity,
                 lookahead,
@@ -340,6 +374,7 @@ fn main() {
                 } else {
                     1.0
                 },
+                plan,
                 real,
                 check
             );
@@ -348,6 +383,7 @@ fn main() {
                 memory: case.capacity,
                 lookahead,
                 time: measured,
+                plan,
                 real,
             });
         }
@@ -368,10 +404,11 @@ fn main() {
 
     println!("\nmicro-kernels (in-memory; ger 120000x10, spr_lower n=900):");
     let kernels = micro_kernel_timings(if smoke { 5 } else { 15 });
-    for (name, naive, blocked, bitwise) in &kernels {
+    for k in &kernels {
+        let (name, naive, blocked, path) = (k.name, k.naive, k.blocked, k.path.name());
         let ratio = naive.as_secs_f64() / blocked.as_secs_f64().max(f64::MIN_POSITIVE);
         let mut checks: Vec<&str> = Vec::new();
-        if !bitwise {
+        if !k.bitwise_equal {
             checks.push("NOT BITWISE EQUAL");
         }
         if ratio < 1.0 / MICRO_SLACK {
@@ -386,7 +423,7 @@ fn main() {
             failures += 1;
         }
         println!(
-            "  {name:<12} naive {naive:>12?}  blocked {blocked:>12?}  speedup {ratio:>6.2}x  {check}"
+            "  {name:<12} {path:<8} naive {naive:>12?}  blocked {blocked:>12?}  speedup {ratio:>6.2}x  {check}"
         );
     }
 

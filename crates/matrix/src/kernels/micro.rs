@@ -21,7 +21,28 @@
 //! The engine dispatches through [`ger_view_auto`] / [`spr_lower_view_auto`],
 //! which pick the tile size; callers with layout knowledge can call the
 //! `_blocked` forms directly.
+//!
+//! **Hardware FMA by runtime dispatch.** The loops of [`ger_view_blocked`],
+//! [`spr_lower_view_blocked`] and
+//! [`triangle_pairs_update`](crate::kernels::views::triangle_pairs_update)
+//! are each one generic `#[inline(always)]` body, compiled twice: once for
+//! the baseline target, where `mul_add` is an out-of-line software `fma`
+//! call on x86-64, and once inside a `#[target_feature(enable = "avx2,fma")]`
+//! wrapper, where it is one `vfmadd` and the loop vectorizes. Each call takes
+//! the FMA copy exactly when `is_x86_feature_detected!` reports both `fma`
+//! and `avx2` (`std` caches the answer); off x86-64 there is one copy. No
+//! build flag, option or environment variable changes the choice.
+//!
+//! The two copies give identical bits. IEEE-754 fused multiply-add is
+//! correctly rounded, in hardware and in software alike. Rust never contracts
+//! a plain `a * b + c` into a fused operation, so `spr`'s deliberate
+//! product-and-add stays two roundings inside the FMA copy. Vectorizing only
+//! runs independent per-element chains side by side. (Which payload a NaN
+//! result carries when two *different* NaNs meet is left open by IEEE-754
+//! and by Rust; the sweeps poison with one NaN value.) The sweep in
+//! `kernel_equivalence.rs` runs every dispatched kernel on both paths.
 
+use super::dispatch::dispatch;
 use crate::error::{MatrixError, Result};
 use crate::scalar::Scalar;
 use crate::views::{MatView, MatViewMut, PackedLowerViewMut};
@@ -62,6 +83,15 @@ pub fn ger_view_blocked<T: Scalar>(
         });
     }
     check_tile(row_tile)?;
+    dispatch(
+        #[inline(always)]
+        || ger_body(alpha, x, y, c, row_tile),
+    );
+    Ok(())
+}
+
+#[inline(always)]
+fn ger_body<T: Scalar>(alpha: T, x: &[T], y: &[T], c: &mut MatViewMut<'_, T>, row_tile: usize) {
     for i0 in (0..x.len()).step_by(row_tile) {
         let iend = (i0 + row_tile).min(x.len());
         let x_tile = &x[i0..iend];
@@ -76,7 +106,6 @@ pub fn ger_view_blocked<T: Scalar>(
             }
         }
     }
-    Ok(())
 }
 
 /// Cache-blocked symmetric rank-1 update `C += alpha · x · xᵀ` on a packed
@@ -100,6 +129,20 @@ pub fn spr_lower_view_blocked<T: Scalar>(
         });
     }
     check_tile(row_tile)?;
+    dispatch(
+        #[inline(always)]
+        || spr_lower_body(alpha, x, c, row_tile),
+    );
+    Ok(())
+}
+
+#[inline(always)]
+fn spr_lower_body<T: Scalar>(
+    alpha: T,
+    x: &[T],
+    c: &mut PackedLowerViewMut<'_, T>,
+    row_tile: usize,
+) {
     for (j, &xj) in x.iter().enumerate() {
         let axj = alpha * xj;
         if axj == T::ZERO {
@@ -116,7 +159,6 @@ pub fn spr_lower_view_blocked<T: Scalar>(
             }
         }
     }
-    Ok(())
 }
 
 /// Cache-blocked `C += alpha · A · Bᵀ`

@@ -13,6 +13,7 @@
 //! tiling and as a structural template for the out-of-core schedules.
 
 pub mod cholesky;
+mod dispatch;
 pub mod flops;
 pub mod gemm;
 pub mod lu;
@@ -23,6 +24,8 @@ pub mod trsm;
 pub mod views;
 
 pub use cholesky::{cholesky_blocked, cholesky_in_place_dense, cholesky_sym, cholesky_tiled};
+#[doc(hidden)]
+pub use dispatch::{kernel_path, with_kernel_path, KernelPath};
 pub use flops::FlopCount;
 pub use gemm::{gemm, gemm_blocked, gemm_nt};
 pub use lu::{lu_nopiv_blocked, lu_nopiv_in_place, lu_reconstruct, split_lu};

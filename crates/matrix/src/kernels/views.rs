@@ -9,6 +9,7 @@
 //! Each kernel is verified against the owned reference kernels of the parent
 //! module.
 
+use super::dispatch::dispatch;
 use crate::error::{MatrixError, Result};
 use crate::scalar::Scalar;
 use crate::views::{MatView, MatViewMut, PackedLowerViewMut};
@@ -67,6 +68,10 @@ pub fn spr_lower_view<T: Scalar>(
 /// set), updates the packed strict-lower pair buffer `pairs`
 /// (`pairs[(u, v)] += alpha · x[u] · x[v]` for `u > v`, stored row-major:
 /// `(1,0), (2,0), (2,1), (3,0), ...`).
+///
+/// This is the engine's TBS update loop, so unlike the other kernels of this
+/// module its body runs through the hardware-FMA dispatch described in
+/// [`crate::kernels::micro`], with the same bits on either path.
 pub fn triangle_pairs_update<T: Scalar>(alpha: T, x: &[T], pairs: &mut [T]) -> Result<()> {
     let k = x.len();
     let expected = k * k.saturating_sub(1) / 2;
@@ -76,15 +81,26 @@ pub fn triangle_pairs_update<T: Scalar>(alpha: T, x: &[T], pairs: &mut [T]) -> R
             actual: pairs.len(),
         });
     }
-    let mut idx = 0;
-    for u in 1..k {
-        let axu = alpha * x[u];
-        for &xv in x.iter().take(u) {
-            pairs[idx] = xv.mul_add(axu, pairs[idx]);
-            idx += 1;
-        }
-    }
+    dispatch(
+        #[inline(always)]
+        || triangle_pairs_body(alpha, x, pairs),
+    );
     Ok(())
+}
+
+/// Row `u` of the pair buffer is the contiguous run of its `u` pairs
+/// `(u, 0)..(u, u-1)`, updated as one slice against `x[..u]`.
+#[inline(always)]
+fn triangle_pairs_body<T: Scalar>(alpha: T, x: &[T], pairs: &mut [T]) {
+    let mut start = 0;
+    for (u, &xu) in x.iter().enumerate().skip(1) {
+        let axu = alpha * xu;
+        let row = &mut pairs[start..start + u];
+        for (p, &xv) in row.iter_mut().zip(&x[..u]) {
+            *p = xv.mul_add(axu, *p);
+        }
+        start += u;
+    }
 }
 
 /// `C += alpha · A · Bᵀ` where all three operands are views

@@ -57,7 +57,12 @@ pub trait Scalar:
     /// Absolute value.
     fn abs(self) -> Self;
 
-    /// Fused multiply-add: `self * a + b`.
+    /// Fused multiply-add: `self * a + b`, rounded once.
+    ///
+    /// The default x86-64 target has no FMA instruction, so outside the
+    /// runtime-dispatched kernels of [`crate::kernels::micro`] this can be
+    /// an out-of-line software `fma` call per element. The result is
+    /// correctly rounded either way.
     fn mul_add(self, a: Self, b: Self) -> Self;
 
     /// Reciprocal `1 / self`.
