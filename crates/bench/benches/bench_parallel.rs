@@ -1,9 +1,10 @@
 //! Wall-clock scaling of the parallel SYRK extension (experiment E12).
 //!
-//! Since the multi-worker engine landed, each iteration really executes the
-//! partitioned schedule: the workers move every region through the shared
-//! slow memory and run the block kernels on their private fast memories, so
-//! these timings measure the execution engine, not just the planner.
+//! Each iteration really executes the serial schedule on `workers` workers
+//! (`RunOptions::workers`): they move every region through the shared slow
+//! memory and run the block kernels on their private fast memories, so
+//! these timings measure the execution engine, not just the planner. One
+//! worker is the serial replay.
 //!
 //! Note on scaling: the simulated slow memory is a single lock — the
 //! model's one channel to slow memory — so gather/scatter serializes and
@@ -13,11 +14,11 @@
 
 use symla_bench::harness::{BenchmarkId, Criterion};
 use symla_bench::{criterion_group, criterion_main};
-use symla_core::parallel::{parallel_syrk, BlockStrategy};
+use symla_core::api::{run, Job, RunOptions, SyrkAlgorithm};
 use symla_matrix::generate;
 use symla_matrix::{Matrix, SymMatrix};
 
-fn bench_parallel_syrk(c: &mut Criterion) {
+fn bench_parallel_replay(c: &mut Criterion) {
     let n = 192;
     let m = 48;
     let s = 15;
@@ -26,14 +27,24 @@ fn bench_parallel_syrk(c: &mut Criterion) {
     let mut group = c.benchmark_group("parallel syrk (N=192, M=48, S/worker=15)");
     group.sample_size(10);
     for &workers in &[1_usize, 2, 4, 8] {
-        for strategy in [BlockStrategy::SquareTiles, BlockStrategy::TriangleBlocks] {
+        for algorithm in [SyrkAlgorithm::SquareBlocks, SyrkAlgorithm::Tbs] {
+            let opts = RunOptions {
+                workers,
+                ..RunOptions::new(s)
+            };
             group.bench_with_input(
-                BenchmarkId::new(strategy.name(), workers),
+                BenchmarkId::new(algorithm.name(), workers),
                 &workers,
-                |b, &workers| {
+                |b, _| {
                     b.iter(|| {
                         let mut c = SymMatrix::<f64>::zeros(n);
-                        parallel_syrk(&a, &mut c, 1.0, workers, s, strategy).unwrap()
+                        let job = Job::Syrk {
+                            a: &a,
+                            c: &mut c,
+                            alpha: 1.0,
+                            algorithm,
+                        };
+                        run(job, &opts).unwrap()
                     })
                 },
             );
@@ -42,5 +53,5 @@ fn bench_parallel_syrk(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_parallel_syrk);
+criterion_group!(benches, bench_parallel_replay);
 criterion_main!(benches);

@@ -19,11 +19,11 @@
 //!    dump byte for byte.
 //!
 //! On top of the per-builder gates, a sharded parallel SYRK
-//! ([`parallel_syrk_sharded`]: `C` on shard 0 = every node's home, `A` on
-//! shard 1) must reproduce the reference result for both partitioning
-//! strategies, and the triangle-block partition's cross-shard volume must
-//! land in the finite-size band around the paper's `1/sqrt(2)` claim
-//! (`t/(k-1) = 2/3` at the gate's shape) of the square tiling's.
+//! (`run` with `RunOptions { workers: 4, shards: 2, .. }`: `C` on shard 0 =
+//! every node's home, `A` on shard 1) must reproduce the reference result
+//! for the TBS and square-block schedules, and the TBS schedule's
+//! cross-shard volume must land in the finite-size band around the paper's
+//! `1/sqrt(2)` claim of the square blocks'.
 //!
 //! Any violation exits non-zero — `--smoke` is the CI gate. A full run
 //! additionally writes `bench/BENCH_multilevel.json`.
@@ -35,8 +35,9 @@
 
 use std::fmt::Write as _;
 use symla_bench::corpus::{self, diagonally_dominant, Builder, Case, Operand};
+use symla_core::api::{run, Job, RunOptions, SyrkAlgorithm};
 use symla_core::engine::{modelled_time, Engine};
-use symla_core::parallel::{parallel_syrk_sharded, BlockStrategy, ShardedReport};
+use symla_core::parallel::ParallelReport;
 use symla_matrix::generate::{
     random_lower_triangular, random_matrix_seeded, random_spd_seeded, random_symmetric, seeded_rng,
 };
@@ -46,7 +47,7 @@ use symla_memory::{IoStats, Level, MachineConfig, MachineModel, OocMachine, Tier
 
 /// Acceptance band for the triangle-vs-square cross-shard volume ratio at
 /// the gate's shape (n = 120, S = 10: k = 4, t = 2): the finite-size value
-/// is `t/(k-1) = 2/3`, approaching `1/sqrt(2)` asymptotically.
+/// is about 0.73, approaching `1/sqrt(2)` asymptotically.
 const RATIO_BAND: (f64, f64) = (0.6, 0.78);
 
 /// The deep tier every transfer is re-leveled to in the leveled gate.
@@ -135,26 +136,37 @@ struct Row {
     leveled_ns: f64,
 }
 
-/// Runs the sharded SYRK for one strategy and checks its result against the
+/// Runs the sharded SYRK for one schedule and checks its result against the
 /// reference; returns the report.
 fn sharded(
     a: &Matrix<f64>,
     expected: &SymMatrix<f64>,
     nodes: usize,
     s: usize,
-    strategy: BlockStrategy,
+    algorithm: SyrkAlgorithm,
     failures: &mut u32,
-) -> ShardedReport {
+) -> ParallelReport {
     let mut c = SymMatrix::zeros(expected.order());
-    let report = parallel_syrk_sharded(a, &mut c, 1.0, nodes, s, strategy).unwrap();
+    let job = Job::Syrk {
+        a,
+        c: &mut c,
+        alpha: 1.0,
+        algorithm,
+    };
+    let opts = RunOptions {
+        workers: nodes,
+        shards: 2,
+        ..RunOptions::new(s)
+    };
+    let report = run(job, &opts).unwrap().parallel.expect("parallel report");
     if !c.approx_eq(expected, 1e-10) {
-        eprintln!("FAIL: sharded {} result diverged", strategy.name());
+        eprintln!("FAIL: sharded {} result diverged", algorithm.name());
         *failures += 1;
     }
     report
 }
 
-fn write_json(rows: &[Row], square: &ShardedReport, triangle: &ShardedReport, ratio: f64) {
+fn write_json(rows: &[Row], square: &ParallelReport, triangle: &ParallelReport, ratio: f64) {
     let mut out = String::from("{\n  \"builders\": [\n");
     for (i, row) in rows.iter().enumerate() {
         let _ = writeln!(
@@ -171,9 +183,13 @@ fn write_json(rows: &[Row], square: &ShardedReport, triangle: &ShardedReport, ra
         );
     }
     out.push_str("  ],\n  \"sharded\": [\n");
-    for (i, report) in [square, triangle].into_iter().enumerate() {
+    let named = [
+        (SyrkAlgorithm::SquareBlocks, square),
+        (SyrkAlgorithm::Tbs, triangle),
+    ];
+    for (i, (algorithm, report)) in named.into_iter().enumerate() {
         let nodes: Vec<String> = report
-            .per_node
+            .per_worker
             .iter()
             .map(|n| {
                 format!(
@@ -184,9 +200,9 @@ fn write_json(rows: &[Row], square: &ShardedReport, triangle: &ShardedReport, ra
             .collect();
         let _ = writeln!(
             out,
-            "    {{ \"strategy\": \"{}\", \"total_cross\": {}, \"max_cross\": {}, \
+            "    {{ \"algorithm\": \"{}\", \"total_cross\": {}, \"max_cross\": {}, \
              \"per_node\": [{}] }}{}",
-            report.strategy.name(),
+            algorithm.name(),
             report.total_cross(),
             report.max_cross(),
             nodes.join(", "),
@@ -286,7 +302,7 @@ fn main() {
     }
 
     // Sharded gate: C on shard 0 (home), A on shard 1 — cross-shard volume
-    // is the A traffic, triangle blocks must cut it into the band.
+    // is the A traffic, TBS's triangle blocks must cut it into the band.
     let (n, m, s, nodes) = (120usize, 16usize, 10usize, 4usize);
     let a: Matrix<f64> = random_matrix_seeded(n, m, 7800);
     let mut expected = SymMatrix::zeros(n);
@@ -296,17 +312,10 @@ fn main() {
         &expected,
         nodes,
         s,
-        BlockStrategy::SquareTiles,
+        SyrkAlgorithm::SquareBlocks,
         &mut failures,
     );
-    let triangle = sharded(
-        &a,
-        &expected,
-        nodes,
-        s,
-        BlockStrategy::TriangleBlocks,
-        &mut failures,
-    );
+    let triangle = sharded(&a, &expected, nodes, s, SyrkAlgorithm::Tbs, &mut failures);
     let ratio = triangle.total_cross() as f64 / square.total_cross() as f64;
     println!(
         "\nsharded n={n} m={m} S={s} nodes={nodes}: cross-shard square {} triangle {} ratio {ratio:.4}",

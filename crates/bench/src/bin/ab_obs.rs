@@ -23,9 +23,9 @@
 //! machine (median of N): the disabled path must not be more than
 //! [`OBS_SLACK`]× slower (real elapsed time is noisy in shared CI runners,
 //! so the gate only rejects catastrophic regressions). Finally a parallel
-//! prefetched SYRK (`P = 4`, `L = 2`) is traced end to end and must yield a
-//! Perfetto-loadable file with one track per worker, per-group spans and at
-//! least one prefetch issue→delivery arrow.
+//! prefetched TBS SYRK (`run` with `workers: 4`, `lookahead: 2`) is traced
+//! end to end and must yield a Perfetto-loadable file with one track per
+//! worker, per-group spans and at least one prefetch issue→delivery arrow.
 //!
 //! Any violation exits non-zero — this is the CI smoke gate (`--smoke` runs
 //! the small instance set and skips the JSON dump). A full run additionally
@@ -41,8 +41,8 @@ use std::fmt::Write as _;
 use std::time::Duration;
 use symla_bench::corpus::{self, Builder, Case, Operand};
 use symla_bench::harness::time_median;
+use symla_core::api::{run, Job, RunOptions, SyrkAlgorithm};
 use symla_core::engine::{modelled_run_trace, Engine, EngineConfig};
-use symla_core::parallel::{parallel_syrk_prefetched, parallel_syrk_traced, BlockStrategy};
 use symla_matrix::generate::{
     random_matrix_seeded, random_spd_seeded, random_symmetric, seeded_rng,
 };
@@ -229,43 +229,42 @@ fn write_json(rows: &[Row], overheads: &[(String, Duration, Duration)]) -> std::
     std::fs::write("bench/BENCH_obs.json", out)
 }
 
-/// The parallel end-to-end gate: traces a prefetched parallel SYRK and
+/// The parallel end-to-end gate: traces a prefetched parallel TBS SYRK and
 /// checks the exported timeline. Returns the failed checks of the last
 /// attempt (empty on success).
 fn parallel_gate(workers: usize, lookahead: usize) -> Vec<&'static str> {
     let (n, m, s) = (280usize, 64usize, 400usize);
     let a: Matrix<f64> = random_matrix_seeded(n, m, 7100);
-    let model = MachineModel::nvme();
+    let plain = RunOptions {
+        workers,
+        lookahead,
+        ..RunOptions::new(s)
+    };
+    let syrk = |c: &mut SymMatrix<f64>, opts: &RunOptions<'_>| {
+        let job = Job::Syrk {
+            a: &a,
+            c,
+            alpha: 1.0,
+            algorithm: SyrkAlgorithm::Tbs,
+        };
+        run(job, opts)
+    };
 
     let mut reference = SymMatrix::zeros(n);
-    parallel_syrk_prefetched(
-        &a,
-        &mut reference,
-        1.0,
-        workers,
-        s,
-        BlockStrategy::TriangleBlocks,
-        lookahead,
-    )
-    .expect("plain parallel run");
+    syrk(&mut reference, &plain).expect("plain parallel run");
 
     let mut checks: Vec<&'static str> = Vec::new();
     for attempt in 0..PARALLEL_ATTEMPTS {
         checks.clear();
         let recorder = TraceRecorder::new();
+        let traced = RunOptions {
+            model: Some(MachineModel::nvme()),
+            recorder: Some(&recorder),
+            ..plain.clone()
+        };
         let mut c = SymMatrix::zeros(n);
-        let report = parallel_syrk_traced(
-            &a,
-            &mut c,
-            1.0,
-            workers,
-            s,
-            BlockStrategy::TriangleBlocks,
-            lookahead,
-            &model,
-            &recorder,
-        )
-        .expect("traced parallel run");
+        let outcome = syrk(&mut c, &traced).expect("traced parallel run");
+        let report = outcome.parallel.expect("parallel report");
         let trace = recorder.finish();
 
         if c != reference {
@@ -294,7 +293,7 @@ fn parallel_gate(workers: usize, lookahead: usize) -> Vec<&'static str> {
         }
         if checks.is_empty() {
             println!(
-                "parallel_syrk n={n} m={m} S={s} P={workers} L={lookahead}: \
+                "parallel TBS n={n} m={m} S={s} P={workers} L={lookahead}: \
                  {} events, {issues} issues, {deliveries} deliveries, \
                  attempt {attempt}  ok",
                 trace.len()

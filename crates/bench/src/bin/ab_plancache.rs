@@ -3,8 +3,9 @@
 //! bitwise identity of cached execution.
 //!
 //! For every builder the serve layer covers (3 SYRK schedules, 2 Cholesky
-//! schedules, OOC-GEMM, 2 parallel partition strategies) × pass pipeline ×
-//! lookahead, the binary
+//! schedules, OOC-GEMM) × pass pipeline × lookahead, plus two parallel SYRK
+//! cases (square blocks and TBS on 3 workers, at their own shape), the
+//! binary
 //!
 //! 1. times the **cold** plan acquisition (compile: build the schedule IR,
 //!    run the pass pipeline, plan the prefetch lookahead) and the **warm**
@@ -31,7 +32,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use symla_core::api::{run, CholeskyAlgorithm, Job, RunOptions, SyrkAlgorithm};
-use symla_core::parallel::{parallel_syrk, BlockStrategy};
 use symla_core::passes::PassPipeline;
 use symla_core::service::PlanService;
 use symla_matrix::generate::{random_matrix_seeded, random_spd_seeded};
@@ -44,10 +44,9 @@ enum Kernel {
     Syrk(SyrkAlgorithm),
     Cholesky(CholeskyAlgorithm),
     Gemm,
-    ParallelSyrk(BlockStrategy),
 }
 
-/// A case's operands (the parallel SYRK registers `C` then `A` itself).
+/// A case's operands.
 #[derive(Clone, PartialEq)]
 enum Operands {
     Syrk(Matrix<f64>, SymMatrix<f64>),
@@ -87,6 +86,12 @@ impl Case {
         }
     }
 
+    /// This case replayed by `workers` workers.
+    fn with_workers(mut self, workers: usize) -> Self {
+        self.opts.workers = workers;
+        self
+    }
+
     /// The case's operands: seeded for execution, or zero-filled for plan
     /// acquisition (plans depend on shapes only).
     fn operands(&self, seeded: bool) -> Operands {
@@ -100,45 +105,39 @@ impl Case {
         };
         match self.kernel {
             Kernel::Syrk(_) => Operands::Syrk(dense(n, m, 9100), SymMatrix::zeros(n)),
-            Kernel::ParallelSyrk(_) => Operands::Syrk(dense(n, m, 9400), SymMatrix::zeros(n)),
             Kernel::Cholesky(_) if seeded => Operands::Cholesky(random_spd_seeded(n, 9200)),
             Kernel::Cholesky(_) => Operands::Cholesky(SymMatrix::zeros(n)),
             Kernel::Gemm => Operands::Gemm(dense(n, m, 9300), dense(m, p, 9301), dense(n, p, 9302)),
         }
     }
 
-    /// The serial job over `operands` (`None` for the parallel cases).
-    fn job<'a>(&self, operands: &'a mut Operands) -> Option<Job<'a, f64>> {
+    /// The job over `operands`.
+    fn job<'a>(&self, operands: &'a mut Operands) -> Job<'a, f64> {
         match (self.kernel, operands) {
-            (Kernel::Syrk(algorithm), Operands::Syrk(a, c)) => Some(Job::Syrk {
+            (Kernel::Syrk(algorithm), Operands::Syrk(a, c)) => Job::Syrk {
                 a,
                 c,
                 alpha: 1.25,
                 algorithm,
-            }),
-            (Kernel::Cholesky(algorithm), Operands::Cholesky(a)) => {
-                Some(Job::Cholesky { a, algorithm })
-            }
-            (Kernel::Gemm, Operands::Gemm(a, b, c)) => Some(Job::Gemm {
+            },
+            (Kernel::Cholesky(algorithm), Operands::Cholesky(a)) => Job::Cholesky { a, algorithm },
+            (Kernel::Gemm, Operands::Gemm(a, b, c)) => Job::Gemm {
                 a,
                 b,
                 c,
                 alpha: 1.25,
-            }),
-            _ => None,
+            },
+            _ => unreachable!("operands() matches the kernel"),
         }
     }
 
     /// Acquires (get-or-compile) this case's plan, returning where it came
     /// from. Pure plan work — the zero-filled `operands` only carry shapes.
     fn acquire(&self, service: &PlanService<f64>, operands: &mut Operands) -> PlanSource {
-        let lookup = match self.kernel {
-            Kernel::ParallelSyrk(strategy) => {
-                service.syrk_parallel_plan(self.n, self.m, 1.25, self.opts.memory, strategy)
-            }
-            _ => service.plan(&self.job(operands).expect("serial case"), &self.opts),
-        };
-        lookup.expect("plan compilation must succeed").source
+        service
+            .plan(&self.job(operands), &self.opts)
+            .expect("plan compilation must succeed")
+            .source
     }
 
     /// Executes the case once through the direct API and once through the
@@ -146,31 +145,17 @@ impl Case {
     fn bitwise_check(&self, service: &PlanService<f64>) -> bool {
         let mut direct = self.operands(true);
         let mut served = direct.clone();
-        if let Kernel::ParallelSyrk(strategy) = self.kernel {
-            let (Operands::Syrk(a, direct), Operands::Syrk(_, served)) = (&mut direct, &mut served)
-            else {
-                unreachable!("parallel cases carry SYRK operands");
-            };
-            let s = self.opts.memory;
-            let report = parallel_syrk(a, direct, 1.25, 3, s, strategy).unwrap();
-            let serve = service
-                .syrk_parallel(a, served, 1.25, 3, s, strategy, self.opts.lookahead)
-                .unwrap();
-            return served == direct && serve.report.total_loads() == report.total_loads();
-        }
-        let job = self.job(&mut direct).expect("serial case");
-        let run = run(job, &self.opts).unwrap();
-        let job = self.job(&mut served).expect("serial case");
-        let serve = service.run(job, &self.opts).unwrap();
+        let run = run(self.job(&mut direct), &self.opts).unwrap();
+        let serve = service.run(self.job(&mut served), &self.opts).unwrap();
         served == direct
             && serve.factor == run.factor
             && serve.stats.volume == run.report.stats.volume
     }
 }
 
-/// The eight builders × pipeline × lookahead sweep. The parallel partition
-/// cases carry pipeline `none` / lookahead 0 in the key (workers and
-/// runtime lookahead are execution arguments, not plan inputs).
+/// The six builders × pipeline × lookahead sweep, plus the parallel cases
+/// at their own shape, so each still compiles its own plan (workers are a
+/// replay argument, not a plan input).
 fn cases(smoke: bool) -> Vec<Case> {
     let (syrk_dims, chol_dims, gemm_dims, par_dims) = if smoke {
         (
@@ -224,17 +209,20 @@ fn cases(smoke: bool) -> Vec<Case> {
             ));
         }
     }
-    for (strategy, name) in [
-        (BlockStrategy::SquareTiles, "par_square"),
-        (BlockStrategy::TriangleBlocks, "par_triangle"),
+    for (algorithm, name) in [
+        (SyrkAlgorithm::SquareBlocks, "par_square"),
+        (SyrkAlgorithm::Tbs, "par_triangle"),
     ] {
-        out.push(Case::new(
-            Kernel::ParallelSyrk(strategy),
-            name,
-            par_dims,
-            PassPipeline::none(),
-            1,
-        ));
+        out.push(
+            Case::new(
+                Kernel::Syrk(algorithm),
+                name,
+                par_dims,
+                PassPipeline::none(),
+                1,
+            )
+            .with_workers(3),
+        );
     }
     out
 }

@@ -29,7 +29,6 @@ use symla_baselines::{
 };
 use symla_core::api::{run, CholeskyAlgorithm, Job, RunOptions, SyrkAlgorithm};
 use symla_core::bounds::{self, LbcTermBreakdown};
-use symla_core::parallel::{parallel_syrk, BlockStrategy};
 use symla_core::{
     lbc_cost, lbc_cost_breakdown, tbs_cost, tbs_decomposition, tbs_tiled_cost, LbcPlan, TbsPlan,
     TbsTiledPlan, TrailingUpdate,
@@ -683,11 +682,11 @@ pub fn e11_cache_ablation() -> Table {
 }
 
 /// E12 — parallel extension: per-worker communication volume of the
-/// triangle-block vs square-tile distribution of the SYRK trailing update.
-/// Every row is a *real* multi-worker execution against a shared slow
-/// memory (the workers move the data and run the kernels); the reported
-/// volumes are measured per worker and asserted equal to the dry-run
-/// oracle inside `parallel_syrk`.
+/// triangle-block (TBS) vs square-block distribution of SYRK. Every row is
+/// a *real* multi-worker execution of the serial schedule against a shared
+/// slow memory (`RunOptions::workers`; the workers move the data and run
+/// the kernels); the reported volumes are measured per worker and checked
+/// against the dry-run oracle by the run itself.
 pub fn e12_parallel() -> Table {
     let n = 240;
     let m = 32;
@@ -697,7 +696,7 @@ pub fn e12_parallel() -> Table {
         &format!("Parallel SYRK, per-worker traffic; N = {n}, M = {m}, S/worker = {s}"),
         &[
             "workers",
-            "strategy",
+            "schedule",
             "total loads",
             "max per-worker",
             "mean per-worker",
@@ -709,22 +708,36 @@ pub fn e12_parallel() -> Table {
     symla_matrix::kernels::syrk_sym(1.0, &a, 1.0, &mut reference).expect("reference");
 
     for &workers in &[1_usize, 2, 4, 8] {
-        for strategy in [BlockStrategy::SquareTiles, BlockStrategy::TriangleBlocks] {
+        for algorithm in [SyrkAlgorithm::SquareBlocks, SyrkAlgorithm::Tbs] {
             let mut c = SymMatrix::<f64>::zeros(n);
-            let report = parallel_syrk(&a, &mut c, 1.0, workers, s, strategy).expect("parallel");
+            let job = Job::Syrk {
+                a: &a,
+                c: &mut c,
+                alpha: 1.0,
+                algorithm,
+            };
+            let opts = RunOptions {
+                workers,
+                ..RunOptions::new(s)
+            };
+            let outcome = run(job, &opts).expect("parallel");
             assert!(c.approx_eq(&reference, 1e-9));
-            let mean = report.total_loads() as f64 / workers as f64;
+            // One worker is the serial run: its totals are the busiest's.
+            let loads = outcome.report.stats.volume.loads;
+            let (max, imbalance) = outcome
+                .parallel
+                .map_or((loads, 1.0), |p| (p.max_loads(), p.imbalance()));
             table.push_row(vec![
                 workers.to_string(),
-                strategy.name().to_string(),
-                report.total_loads().to_string(),
-                report.max_loads().to_string(),
-                fmt_f(mean),
-                fmt_ratio(report.imbalance()),
+                algorithm.name().to_string(),
+                loads.to_string(),
+                max.to_string(),
+                fmt_f(loads as f64 / workers as f64),
+                fmt_ratio(imbalance),
             ]);
         }
     }
-    table.push_note("the triangle-block distribution moves ~1/sqrt(2) of the input volume of the square-tile distribution (paper's future-work direction)");
+    table.push_note("the triangle-block distribution moves ~1/sqrt(2) of the input volume of the square-block distribution (paper's future-work direction)");
     table.push_note("volumes are measured on executing workers (shared slow memory, private capacity-checked fast memories), not dry-run estimates");
     table
 }

@@ -23,6 +23,10 @@
 //!    [`modelled_time_planned`] with that same plan;
 //! 4. **take** — extract the result and fill the report.
 //!
+//! With [`RunOptions::workers`] or [`RunOptions::shards`] above 1, steps 2–4
+//! run on the parallel arm of [`crate::parallel`] instead: the same compiled
+//! schedule, replayed by several workers against one shared slow memory.
+//!
 //! ```
 //! use symla_core::api::{run, Job, RunOptions, SyrkAlgorithm};
 //! use symla_matrix::{generate, SymMatrix};
@@ -37,6 +41,7 @@
 use crate::bounds;
 use crate::engine::{Engine, Schedule};
 use crate::lbc::{lbc_cost, lbc_schedule};
+use crate::parallel::{self, ParallelReport};
 use crate::passes::{PassPipeline, StageOutcome};
 use crate::plan::{LbcPlan, TbsPlan, TbsTiledPlan, TrailingUpdate};
 use crate::tbs::{tbs_cost, tbs_schedule};
@@ -51,7 +56,7 @@ use symla_baselines::{
 use symla_matrix::{LowerTriangular, Matrix, Scalar, SymMatrix};
 use symla_memory::{
     IoStats, LatencyMachine, MachineConfig, MachineModel, MachineOps, MatrixId, OocMachine,
-    PanelRef, SymWindowRef, TimeStats,
+    PanelRef, SharedSlowMemory, SymWindowRef, TimeStats,
 };
 use symla_obs::{InstrumentedMachine, TraceRecorder};
 use symla_sched::autotune::{Tuner, TuningReport, TuningSpace};
@@ -282,6 +287,9 @@ pub struct RunOutcome<T: Scalar> {
     /// [`RunOptions::tuning`] is set. Its winner's stats equal
     /// `report.stats` exactly: the tuner scores by replay, never guesses.
     pub tuning: Option<TuningReport>,
+    /// Per-worker accounting of a parallel or sharded run (`None` for a
+    /// serial one); `report.stats` is then the workers' merged stats.
+    pub parallel: Option<ParallelReport>,
 }
 
 impl<T: Scalar> RunOutcome<T> {
@@ -369,6 +377,22 @@ pub struct RunOptions<'r> {
     /// executes. The search picks the pipeline and lookahead, so those two
     /// fields must stay at [`PassPipeline::none`] and 0.
     pub tuning: Option<TuningSpace>,
+    /// Workers replaying the schedule, each with a private fast memory of
+    /// `memory` elements against one shared slow memory (the paper's §2.2
+    /// parallel model). 1 with `shards == 1` is the serial run; anything
+    /// else replays the same compiled schedule on the parallel arm, with
+    /// the result bitwise equal to the serial one. Cholesky orders its
+    /// groups through slow memory and only runs serially, and neither a
+    /// tuning space nor a model without a recorder (there is no parallel
+    /// modelled clock) goes with a parallel run.
+    pub workers: usize,
+    /// Shards of the shared slow memory: 1, or 2 to home the result on
+    /// shard 0 (every worker's home) and the inputs on shard 1, with the
+    /// groups assigned to workers statically by
+    /// [`partition_groups`](symla_sched::partition_groups) so the report
+    /// splits every worker's traffic into local and cross-shard volume. A
+    /// sharded run takes neither a lookahead nor a recorder.
+    pub shards: usize,
 }
 
 impl RunOptions<'_> {
@@ -381,21 +405,41 @@ impl RunOptions<'_> {
             model: None,
             recorder: None,
             tuning: None,
+            workers: 1,
+            shards: 1,
         }
+    }
+
+    /// Whether the run replays on the parallel arm.
+    pub(crate) fn is_parallel(&self) -> bool {
+        self.workers != 1 || self.shards != 1
     }
 
     /// Rejects combinations the run cannot honour.
     fn check(&self) -> Result<()> {
+        let reject = |why: &str| Err(OocError::Invalid(why.into()));
         if self.model.is_none() && (self.recorder.is_some() || self.tuning.is_some()) {
-            return Err(OocError::Invalid(
-                "a recorder or a tuning space needs a machine model".into(),
-            ));
+            return reject("a recorder or a tuning space needs a machine model");
         }
         if self.tuning.is_some() && (self.pipeline != PassPipeline::none() || self.lookahead != 0) {
-            return Err(OocError::Invalid(
-                "a tuned run searches the pipeline and lookahead; leave them at none() and 0"
-                    .into(),
-            ));
+            return reject(
+                "a tuned run searches the pipeline and lookahead; leave them at none() and 0",
+            );
+        }
+        if self.workers == 0 {
+            return reject("a run needs at least one worker");
+        }
+        if !(1..=2).contains(&self.shards) {
+            return reject("shards must be 1 (one slow memory) or 2 (result apart from inputs)");
+        }
+        if self.is_parallel() && self.tuning.is_some() {
+            return reject("a tuned run replays serially; leave workers and shards at 1");
+        }
+        if self.is_parallel() && self.model.is_some() && self.recorder.is_none() {
+            return reject("a parallel run has no modelled clock; a model needs a recorder there");
+        }
+        if self.shards == 2 && (self.lookahead != 0 || self.recorder.is_some()) {
+            return reject("a sharded run takes neither a lookahead nor a recorder");
         }
         Ok(())
     }
@@ -619,34 +663,34 @@ impl<T: Scalar> Job<'_, T> {
     }
 
     /// Step 2: inserts the operands in compile order (`A`, then `B`, then
-    /// `C`), so the machine issues them the synthetic ids the schedule was
+    /// `C`), so the memory issues them the synthetic ids the schedule was
     /// built against. Returns the result operand's id.
-    fn register(&self, machine: &mut OocMachine<T>) -> MatrixId {
+    pub(crate) fn register(&self, memory: &mut impl SlowOperands<T>) -> MatrixId {
         match self {
             Job::Syrk { a, c, .. } => {
-                machine.insert_dense((*a).clone());
-                machine.insert_symmetric((**c).clone())
+                memory.put_dense((*a).clone(), false);
+                memory.put_symmetric((**c).clone(), true)
             }
-            Job::Cholesky { a, .. } => machine.insert_symmetric((*a).clone()),
+            Job::Cholesky { a, .. } => memory.put_symmetric((*a).clone(), true),
             Job::Gemm { a, b, c, .. } => {
-                machine.insert_dense((*a).clone());
-                machine.insert_dense((*b).clone());
-                machine.insert_dense((**c).clone())
+                memory.put_dense((*a).clone(), false);
+                memory.put_dense((*b).clone(), false);
+                memory.put_dense((**c).clone(), true)
             }
         }
     }
 
     /// Step 4: writes the result back into `c`, or returns the factor.
-    fn take(
+    pub(crate) fn take(
         &mut self,
-        machine: &mut OocMachine<T>,
+        memory: &mut impl SlowOperands<T>,
         id: MatrixId,
     ) -> Result<Option<LowerTriangular<T>>> {
         match self {
-            Job::Syrk { c, .. } => **c = machine.take_symmetric(id)?,
-            Job::Gemm { c, .. } => **c = machine.take_dense(id)?,
+            Job::Syrk { c, .. } => **c = memory.take_symmetric(id)?,
+            Job::Gemm { c, .. } => **c = memory.take_dense(id)?,
             Job::Cholesky { a, .. } => {
-                let result = machine.take_symmetric(id)?;
+                let result = memory.take_symmetric(id)?;
                 let factor = LowerTriangular::from_lower_fn(a.order(), |i, j| result.get(i, j));
                 return Ok(Some(factor));
             }
@@ -687,10 +731,62 @@ impl<T: Scalar> Job<'_, T> {
     }
 }
 
+/// The slow memory a job's operands live in during a replay: the serial
+/// [`OocMachine`], or the [`SharedSlowMemory`] of the parallel arm, which
+/// homes the `result` operand on shard 0 and the inputs on its last shard.
+pub(crate) trait SlowOperands<T: Scalar> {
+    /// Registers a dense operand.
+    fn put_dense(&mut self, m: Matrix<T>, result: bool) -> MatrixId;
+    /// Registers a symmetric operand.
+    fn put_symmetric(&mut self, s: SymMatrix<T>, result: bool) -> MatrixId;
+    /// Takes a dense operand back.
+    fn take_dense(&mut self, id: MatrixId) -> Result<Matrix<T>>;
+    /// Takes a symmetric operand back.
+    fn take_symmetric(&mut self, id: MatrixId) -> Result<SymMatrix<T>>;
+}
+
+impl<T: Scalar> SlowOperands<T> for OocMachine<T> {
+    fn put_dense(&mut self, m: Matrix<T>, _result: bool) -> MatrixId {
+        self.insert_dense(m)
+    }
+    fn put_symmetric(&mut self, s: SymMatrix<T>, _result: bool) -> MatrixId {
+        self.insert_symmetric(s)
+    }
+    fn take_dense(&mut self, id: MatrixId) -> Result<Matrix<T>> {
+        Ok(OocMachine::take_dense(self, id)?)
+    }
+    fn take_symmetric(&mut self, id: MatrixId) -> Result<SymMatrix<T>> {
+        Ok(OocMachine::take_symmetric(self, id)?)
+    }
+}
+
+impl<T: Scalar> SlowOperands<T> for SharedSlowMemory<T> {
+    fn put_dense(&mut self, m: Matrix<T>, result: bool) -> MatrixId {
+        let shard = if result { 0 } else { self.num_shards() - 1 };
+        self.insert_dense_on(shard, m)
+    }
+    fn put_symmetric(&mut self, s: SymMatrix<T>, result: bool) -> MatrixId {
+        let shard = if result { 0 } else { self.num_shards() - 1 };
+        self.insert_symmetric_on(shard, s)
+    }
+    fn take_dense(&mut self, id: MatrixId) -> Result<Matrix<T>> {
+        Ok(SharedSlowMemory::take_dense(self, id)?)
+    }
+    fn take_symmetric(&mut self, id: MatrixId) -> Result<SymMatrix<T>> {
+        Ok(SharedSlowMemory::take_symmetric(self, id)?)
+    }
+}
+
 /// Rejects a job and options that cannot run together.
 pub(crate) fn check<T: Scalar>(job: &Job<'_, T>, opts: &RunOptions<'_>) -> Result<()> {
     job.check()?;
-    opts.check()
+    opts.check()?;
+    if opts.is_parallel() && matches!(job, Job::Cholesky { .. }) {
+        return Err(OocError::Invalid(
+            "Cholesky orders its task groups through slow memory and runs serially only".into(),
+        ));
+    }
+    Ok(())
 }
 
 /// Builds a SYRK schedule and its analytic cost against the synthetic ids
@@ -910,6 +1006,7 @@ pub(crate) struct Replayed<T: Scalar> {
     pub(crate) stats: IoStats,
     pub(crate) factor: Option<LowerTriangular<T>>,
     pub(crate) clock: Option<WallClock>,
+    pub(crate) parallel: Option<ParallelReport>,
 }
 
 /// Step 3 on any machine.
@@ -923,13 +1020,18 @@ fn replay_on<T: Scalar, M: MachineOps<T>>(
 }
 
 /// Steps 2–4: registers the job's operands, replays `schedule` under
-/// `plan` on the machine the options ask for, and takes the result.
+/// `plan` on the machine the options ask for, and takes the result. A
+/// parallel run hands `schedule` to [`parallel::replay`], which plans each
+/// worker's prefetch window at run time instead of using `plan`.
 pub(crate) fn replay<T: Scalar>(
     job: &mut Job<'_, T>,
     schedule: &Schedule<T>,
     plan: &PrefetchPlan,
     opts: &RunOptions<'_>,
 ) -> Result<Replayed<T>> {
+    if opts.is_parallel() {
+        return parallel::replay(job, schedule, opts);
+    }
     let mut machine = OocMachine::new(MachineConfig::with_capacity(opts.memory));
     let id = job.register(&mut machine);
     let (mut machine, measured) = match (opts.model, opts.recorder) {
@@ -956,6 +1058,7 @@ pub(crate) fn replay<T: Scalar>(
         stats,
         factor,
         clock,
+        parallel: None,
     })
 }
 
@@ -1000,6 +1103,7 @@ pub fn run<T: Scalar>(mut job: Job<'_, T>, opts: &RunOptions<'_>) -> Result<RunO
         factor: replayed.factor,
         clock: replayed.clock,
         tuning: compiled.tuning,
+        parallel: replayed.parallel,
     })
 }
 

@@ -18,8 +18,8 @@
 //!   schedule with independent task groups over `P` workers of a
 //!   [`symla_memory::SharedSlowMemory`] through a work-stealing queue; each
 //!   worker has a private capacity-checked fast memory counting its own
-//!   [`symla_memory::IoStats`]. `symla_core::parallel` builds on this for
-//!   the parallel SYRK extension.
+//!   [`symla_memory::IoStats`]. [`crate::parallel`] replays the compiled
+//!   SYRK and GEMM schedules on it when `RunOptions::workers > 1`.
 //! * **dry-run** — [`Engine::dry_run`] is the same serial replay on the
 //!   data-free [`symla_memory::CountingMachine`]: it returns the exact
 //!   [`symla_memory::IoStats`] an execution would produce (loads, stores,

@@ -19,8 +19,9 @@
 //!   (the `√2` headline);
 //! * [`api`] — the one front door: [`api::run`] takes a [`api::Job`]
 //!   (kernel, operands, algorithm) and [`api::RunOptions`] (capacity,
-//!   pipeline, lookahead, and optionally a model, a recorder and a tuning
-//!   space) and returns the result with a full I/O report;
+//!   pipeline, lookahead, workers, shards, and optionally a model, a
+//!   recorder and a tuning space) and returns the result with a full I/O
+//!   report;
 //! * [`engine`] — the schedule-IR execution engine: every algorithm above is
 //!   a *schedule builder* whose IR the engine replays in execute, dry-run,
 //!   trace or execute-parallel mode;
@@ -30,10 +31,11 @@
 //!   coalescing, dead-store elimination, locality reordering), exposed as
 //!   [`api::RunOptions::pipeline`] and A/B-accounted by the experiment
 //!   harness;
-//! * [`parallel`] — a shared-slow-memory parallel SYRK executed for real on
-//!   `P` capacity-checked workers with per-worker communication accounting
-//!   (the paper's "future work" direction), built on the same task groups
-//!   the engine executes serially;
+//! * [`parallel`] — the parallel replay arm of [`api::run`]: the compiled
+//!   SYRK or GEMM schedule executed for real on `P` capacity-checked
+//!   workers against a shared (optionally sharded) slow memory, with
+//!   per-worker communication accounting checked against the dry run (the
+//!   paper's "future work" direction);
 //! * [`service`] — the compile-once/replay-many serve layer: a
 //!   [`service::PlanService`] backed by the content-addressed plan cache of
 //!   `symla-plancache` (in-memory LRU + optional disk tier) that acquires
@@ -74,9 +76,10 @@ pub use engine::{Engine, EngineConfig, EngineError, Schedule, ScheduleBuilder};
 pub use lbc::{
     lbc_build, lbc_cost, lbc_cost_breakdown, lbc_execute, lbc_schedule, LbcCostBreakdown,
 };
+pub use parallel::{ParallelReport, WorkerIo};
 pub use passes::{PassManager, PassPipeline};
 pub use plan::{LbcPlan, TbsPlan, TbsTiledPlan, TrailingUpdate};
-pub use service::{PlanService, ServedParallelRun, ServedRun, SharedPlanService};
+pub use service::{PlanService, ServedRun, SharedPlanService};
 pub use tbs::{
     tbs_build, tbs_cost, tbs_decomposition, tbs_execute, tbs_schedule, TbsDecomposition,
 };

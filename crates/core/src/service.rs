@@ -6,14 +6,17 @@
 //! lookahead, `α`), never on the operand values. [`PlanService`] exploits
 //! that: it keys every compiled plan by shape in a [`PlanCache`] (in-memory
 //! LRU plus optional disk tier, single-flight under concurrency) and
-//! executes cache hits with **zero planner work**:
+//! executes cache hits with **zero planner work**.
 //!
-//! * [`PlanService::run`] takes the same [`Job`] and [`RunOptions`] as
-//!   [`api::run`](crate::api::run): on a miss it caches the output of the
-//!   same compile step (schedule plus prefetch plan), and every call
-//!   replays through the same [`Engine::execute_planned`] step;
-//! * parallel replays hand the cached partition schedule straight to
-//!   `Engine::execute_parallel_with`.
+//! [`PlanService::run`] takes the same [`Job`] and [`RunOptions`] as
+//! [`api::run`](crate::api::run): on a miss it caches the output of the
+//! same compile step (schedule plus prefetch plan), and every call replays
+//! through the same replay step —
+//! [`Engine::execute_planned`](symla_sched::Engine::execute_planned) for a
+//! serial run, the parallel arm of [`crate::parallel`] for
+//! [`RunOptions::workers`] or [`RunOptions::shards`] above 1. The schedule
+//! does not depend on either, so a parallel serve hits the serial plan's
+//! cache slot.
 //!
 //! Schedules are compiled against machine-issued operand ids, which start
 //! at 0 per machine in insertion order — the service registers operands in
@@ -47,19 +50,20 @@ use std::io;
 use std::sync::Arc;
 
 use crate::api::{check, compile, replay, Job, RunOptions, WallClock};
-use crate::parallel::{partition_schedule_scaled, BlockStrategy, ParallelReport, WorkerIo};
-use symla_baselines::error::{OocError, Result};
-use symla_matrix::{LowerTriangular, Matrix, Scalar, SymMatrix};
-use symla_memory::{IoStats, MachineConfig, MatrixId, SharedSlowMemory};
+use crate::parallel::ParallelReport;
+use symla_baselines::error::Result;
+use symla_matrix::{LowerTriangular, Scalar};
+use symla_memory::IoStats;
 use symla_obs::{EventKind, RunReport};
 use symla_plancache::{CacheStats, Lookup, PlanCache, PlanCacheConfig, PlanKey, PlanSource};
 use symla_sched::autotune::model_fingerprint;
-use symla_sched::{Engine, EngineConfig, PassPipeline, PrefetchPlan};
+use symla_sched::{PassPipeline, PrefetchPlan};
 
 /// Outcome of one served (cache-mediated) execution.
 #[derive(Debug, Clone)]
 pub struct ServedRun<T: Scalar> {
-    /// Measured machine statistics of this replay.
+    /// Measured machine statistics of this replay (merged over the workers
+    /// of a parallel run).
     pub stats: IoStats,
     /// The Cholesky factor (`None` for SYRK and GEMM, whose result is
     /// written back into the job's `c`).
@@ -70,6 +74,9 @@ pub struct ServedRun<T: Scalar> {
     pub source: PlanSource,
     /// The cache's content hash for the plan key.
     pub key_hash: u64,
+    /// Per-worker accounting of a parallel or sharded run (`None` for a
+    /// serial one).
+    pub parallel: Option<ParallelReport>,
 }
 
 impl<T: Scalar> ServedRun<T> {
@@ -92,26 +99,14 @@ impl<T: Scalar> ServedRun<T> {
     }
 }
 
-/// Outcome of one served parallel execution.
-#[derive(Debug, Clone)]
-pub struct ServedParallelRun {
-    /// Per-worker report of this replay.
-    pub report: ParallelReport,
-    /// Where the partition schedule came from.
-    pub source: PlanSource,
-    /// The cache's content hash for the plan key.
-    pub key_hash: u64,
-}
-
 /// "Get-or-compile the plan, then execute it on your data": a [`PlanCache`]
 /// plus the operand plumbing of the high-level API.
 ///
 /// [`plan`](Self::plan) returns the cached [`CachedPlan`](symla_plancache::CachedPlan)
 /// (schedule + optional prefetch plan + binary form) so callers can drive
 /// any engine mode themselves — `dry_run`, `trace`, or a custom machine.
-/// [`run`](Self::run) and [`syrk_parallel`](Self::syrk_parallel) do the
-/// full serve: acquire the plan, register the operands in compile order,
-/// replay, extract the result.
+/// [`run`](Self::run) does the full serve: acquire the plan, register the
+/// operands in compile order, replay, extract the result.
 #[derive(Debug)]
 pub struct PlanService<T: Scalar> {
     cache: PlanCache<T>,
@@ -153,7 +148,8 @@ impl<T: Scalar> PlanService<T> {
 
     /// The plan key of `job` run with `opts`. A fixed run is keyed by
     /// `<kernel>/<schedule name>`, its shape, capacity, pipeline and
-    /// lookahead, GEMM's third dimension and `alpha`. A tuned run's
+    /// lookahead, GEMM's third dimension and `alpha`; the worker and shard
+    /// counts are replay arguments, not plan inputs. A tuned run's
     /// pipeline, tile and lookahead are *outputs* of the search, so they do
     /// not appear in its `autotune/...` key; the fingerprints of the
     /// searched space and of the model it was scored against do — tuning
@@ -230,146 +226,7 @@ impl<T: Scalar> PlanService<T> {
             clock: replayed.clock,
             source: lookup.source,
             key_hash: lookup.key_hash,
-        })
-    }
-
-    /// The plan key of a parallel SYRK partition schedule (operands: `C`
-    /// then `A`). Worker count and runtime lookahead are execution-time
-    /// arguments, not plan inputs — the same cached partition serves any
-    /// worker count.
-    pub fn syrk_parallel_key(
-        n: usize,
-        m: usize,
-        alpha: T,
-        memory_per_worker: usize,
-        strategy: BlockStrategy,
-    ) -> PlanKey {
-        PlanKey::new(
-            format!("syrk-parallel/{}", strategy.name()),
-            n,
-            m,
-            memory_per_worker,
-            PassPipeline::none(),
-            0,
-        )
-        .with_f64_param(alpha.to_f64())
-    }
-
-    /// The plan key of a *sharded* parallel SYRK run (see
-    /// [`parallel_syrk_sharded`](crate::parallel::parallel_syrk_sharded)).
-    /// The shard count enters through the key's memory-hierarchy
-    /// fingerprint: sharding changes the node partitioning a served plan
-    /// would bake in, so a sharded plan must not share a cache slot with
-    /// the unsharded one. With one shard the key collapses to
-    /// [`syrk_parallel_key`](Self::syrk_parallel_key) — the layouts are
-    /// the same machine.
-    pub fn syrk_sharded_key(
-        n: usize,
-        m: usize,
-        alpha: T,
-        memory_per_node: usize,
-        strategy: BlockStrategy,
-        shards: usize,
-    ) -> PlanKey {
-        Self::syrk_parallel_key(n, m, alpha, memory_per_node, strategy).with_hierarchy(&[], shards)
-    }
-
-    /// Gets or compiles the partition schedule of a parallel SYRK run (ids
-    /// `C = 0`, `A = 1`, matching [`crate::parallel::parallel_syrk`]).
-    /// Group-to-worker assignment is dynamic, so no prefetch plan is cached;
-    /// `execute_parallel_with` plans per worker at its runtime lookahead.
-    pub fn syrk_parallel_plan(
-        &self,
-        n: usize,
-        m: usize,
-        alpha: T,
-        memory_per_worker: usize,
-        strategy: BlockStrategy,
-    ) -> Result<Lookup<T>> {
-        let key = Self::syrk_parallel_key(n, m, alpha, memory_per_worker, strategy);
-        self.cache.get_or_compile(&key, || {
-            let schedule = partition_schedule_scaled(n, m, memory_per_worker, strategy, alpha)?;
-            Ok((schedule, None))
-        })
-    }
-
-    /// Serves a shared-slow-memory parallel SYRK: the cached partition
-    /// schedule is handed to `Engine::execute_parallel_with`, which
-    /// distributes its task groups over `workers` capacity-checked workers
-    /// (optionally pipelining up to `lookahead` units per worker). Numerical
-    /// results are bitwise-identical to
-    /// [`parallel_syrk`](crate::parallel::parallel_syrk); the serve path
-    /// skips that function's per-worker dry-run oracle assertion to keep the
-    /// replay free of planner work.
-    #[allow(clippy::too_many_arguments)]
-    pub fn syrk_parallel(
-        &self,
-        a: &Matrix<T>,
-        c: &mut SymMatrix<T>,
-        alpha: T,
-        workers: usize,
-        memory_per_worker: usize,
-        strategy: BlockStrategy,
-        lookahead: usize,
-    ) -> Result<ServedParallelRun> {
-        let n = c.order();
-        let m = a.cols();
-        if a.rows() != n {
-            return Err(OocError::Invalid(format!(
-                "parallel SYRK operand mismatch: A has {} rows but C has order {n}",
-                a.rows()
-            )));
-        }
-        if workers == 0 {
-            return Err(OocError::Invalid("need at least one worker".into()));
-        }
-        let lookup = self.syrk_parallel_plan(n, m, alpha, memory_per_worker, strategy)?;
-
-        let shared = SharedSlowMemory::new();
-        let c_id = shared.insert_symmetric(std::mem::replace(c, SymMatrix::zeros(0)));
-        let a_id = shared.insert_dense(a.clone());
-        debug_assert_eq!(
-            (c_id, a_id),
-            (MatrixId::synthetic(0), MatrixId::synthetic(1)),
-            "operand registration order must match plan compilation"
-        );
-        let outcome = Engine::execute_parallel_with(
-            &shared,
-            lookup.plan.schedule(),
-            workers,
-            MachineConfig::with_capacity(memory_per_worker),
-            "parallel",
-            &EngineConfig::with_lookahead(lookahead),
-        );
-        let runs = match outcome {
-            Ok(runs) => runs,
-            Err(e) => {
-                *c = shared.take_symmetric(c_id)?;
-                return Err(e.error.into());
-            }
-        };
-        *c = shared.take_symmetric(c_id)?;
-
-        let mut per_worker = Vec::with_capacity(workers);
-        let mut prefetched_loads = 0;
-        for run in &runs {
-            per_worker.push(WorkerIo {
-                loads: run.stats.volume.loads,
-                stores: run.stats.volume.stores,
-                tasks: run.groups.len(),
-            });
-            prefetched_loads += run.stats.prefetched_elements;
-        }
-        Ok(ServedParallelRun {
-            report: ParallelReport {
-                workers,
-                strategy,
-                memory_per_worker,
-                per_worker,
-                prefetched_loads,
-            },
-            source: lookup.source,
-            key_hash: lookup.key_hash,
+            parallel: replayed.parallel,
         })
     }
 }
@@ -382,26 +239,11 @@ pub type SharedPlanService<T> = Arc<PlanService<T>>;
 mod tests {
     use super::*;
     use crate::api::{run, CholeskyAlgorithm, SyrkAlgorithm};
-    use crate::parallel::parallel_syrk;
     use symla_matrix::generate::{random_matrix_seeded, random_spd_seeded};
+    use symla_matrix::{Matrix, SymMatrix};
     use symla_memory::MachineModel;
     use symla_obs::TraceRecorder;
-
-    #[test]
-    fn sharded_keys_split_from_the_unsharded_slot() {
-        let base =
-            PlanService::<f64>::syrk_parallel_key(64, 8, 1.0, 32, BlockStrategy::SquareTiles);
-        let one =
-            PlanService::<f64>::syrk_sharded_key(64, 8, 1.0, 32, BlockStrategy::SquareTiles, 1);
-        let two =
-            PlanService::<f64>::syrk_sharded_key(64, 8, 1.0, 32, BlockStrategy::SquareTiles, 2);
-        let three =
-            PlanService::<f64>::syrk_sharded_key(64, 8, 1.0, 32, BlockStrategy::SquareTiles, 3);
-        // One shard is the unsharded machine: same key, same cache slot.
-        assert_eq!(one.content_hash(), base.content_hash());
-        assert_ne!(two.content_hash(), base.content_hash());
-        assert_ne!(two.content_hash(), three.content_hash());
-    }
+    use symla_sched::Engine;
 
     #[test]
     fn served_syrk_is_bitwise_identical_across_algorithms_and_modes() {
@@ -675,38 +517,55 @@ mod tests {
     }
 
     #[test]
-    fn served_parallel_syrk_matches_direct_run() {
+    fn served_parallel_run_matches_direct_run() {
         let (n, m, s) = (40usize, 8usize, 12usize);
         let a: Matrix<f64> = random_matrix_seeded(n, m, 56);
         let service = PlanService::<f64>::in_memory();
 
-        for strategy in [BlockStrategy::SquareTiles, BlockStrategy::TriangleBlocks] {
+        for algorithm in [SyrkAlgorithm::SquareBlocks, SyrkAlgorithm::Tbs] {
+            let syrk = |c: &mut SymMatrix<f64>, opts: &RunOptions<'_>| {
+                let job = Job::Syrk {
+                    a: &a,
+                    c,
+                    alpha: 1.0,
+                    algorithm,
+                };
+                service.run(job, opts).unwrap()
+            };
+            let parallel = |workers| RunOptions {
+                workers,
+                lookahead: 1,
+                ..RunOptions::new(s)
+            };
             let mut reference = SymMatrix::zeros(n);
-            let direct = parallel_syrk(&a, &mut reference, 1.0, 3, s, strategy).unwrap();
+            let job = Job::Syrk {
+                a: &a,
+                c: &mut reference,
+                alpha: 1.0,
+                algorithm,
+            };
+            let direct = run(job, &parallel(3)).unwrap().parallel.unwrap();
 
-            // Cold serve, then warm serves across *different* worker counts:
-            // one cached partition schedule drives them all.
+            // Cold serve, then warm serves across *different* worker counts
+            // (the serial one included): one cached schedule drives them all.
             let mut sources = Vec::new();
             for workers in [3usize, 1, 4] {
+                let ctx = format!("{} P={workers}", algorithm.name());
                 let mut c = SymMatrix::zeros(n);
-                let run = service
-                    .syrk_parallel(&a, &mut c, 1.0, workers, s, strategy, 1)
-                    .unwrap();
-                assert!(c == reference, "{} P={workers}", strategy.name());
+                let run = syrk(&mut c, &parallel(workers));
+                assert!(c == reference, "{ctx}");
+                assert_eq!(run.stats.volume.loads, direct.total_loads(), "{ctx}");
                 assert_eq!(
-                    run.report.total_loads(),
-                    direct.total_loads(),
-                    "{} P={workers}",
-                    strategy.name()
+                    run.parallel.map(|p| p.workers),
+                    (workers > 1).then_some(workers)
                 );
-                assert_eq!(run.report.workers, workers);
                 sources.push(run.source);
             }
-            assert_eq!(sources[0], PlanSource::Compiled, "{}", strategy.name());
+            assert_eq!(sources[0], PlanSource::Compiled, "{}", algorithm.name());
             assert!(
                 sources[1..].iter().all(|s| *s == PlanSource::Memory),
                 "{}",
-                strategy.name()
+                algorithm.name()
             );
         }
     }

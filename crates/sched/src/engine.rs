@@ -616,11 +616,11 @@ impl Engine {
     /// others). **The caller asserts that the groups are independent** —
     /// i.e. no group reads or writes a slow-memory region another group
     /// writes. The SYRK-family schedules of this workspace (square-block,
-    /// TBS, tiled TBS, GEMM and the `symla_core::parallel` partitions)
-    /// satisfy this: each group owns a disjoint block of the result and only
-    /// reads the shared input panel. The left-looking factorizations
-    /// (Cholesky, LU, TRSM) order their groups *through* slow memory and
-    /// must stay on the serial [`Engine::execute`] path.
+    /// TBS, tiled TBS) and GEMM satisfy this — `symla_core::parallel`
+    /// replays them here — since each group owns a disjoint block of the
+    /// result and only reads the shared input panels. The left-looking
+    /// factorizations (Cholesky, LU, TRSM) order their groups *through*
+    /// slow memory and must stay on the serial [`Engine::execute`] path.
     ///
     /// Two semantic differences from a serial execution, both irrelevant to
     /// schedules with independent groups:

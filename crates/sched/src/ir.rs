@@ -25,8 +25,8 @@
 //!   so groups are the unit of placement for multi-worker execution
 //!   ([`crate::engine::Engine::execute_parallel`] distributes independent
 //!   groups over the workers of a shared slow memory through a
-//!   work-stealing queue; `symla_core::parallel` builds its partitions on
-//!   exactly this).
+//!   work-stealing queue; `symla_core::parallel` replays the serial SYRK
+//!   and GEMM schedules on exactly this).
 //!
 //! Buffers are named by [`BufId`]s issued by the [`ScheduleBuilder`]. A
 //! buffer is created by exactly one `Load`/`Alloc` step and consumed by

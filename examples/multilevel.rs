@@ -9,14 +9,14 @@
 //! Part 1 replays one schedule three ways — plain [`OocMachine`],
 //! degenerate [`TieredMachine`] (must be invisible), and re-leveled to
 //! tier 2 (same volume, attributed to the tier, priced slower under a
-//! surcharge). Part 2 splits the shared slow memory into two shards
-//! (`C` on shard 0 = every node's home, `A` on shard 1), partitions the
-//! task groups over 4 nodes with [`partition_groups`] and executes the
-//! assignment for real, printing each node's local/cross split.
+//! surcharge). Part 2 runs SYRK with `RunOptions { workers: 4, shards: 2,
+//! .. }`: the shared slow memory splits into two shards (`C` on shard 0 =
+//! every node's home, `A` on shard 1), the task groups are partitioned over
+//! 4 nodes with `partition_groups` and the assignment executes for real,
+//! printing each node's local/cross split.
 
 use symla::prelude::*;
 use symla_core::engine::modelled_time;
-use symla_core::parallel::{parallel_syrk_sharded, BlockStrategy};
 use symla_memory::{Level, MachineModel, TieredMachine};
 
 fn main() {
@@ -96,19 +96,30 @@ fn main() {
     println!("sharded parallel SYRK, N = {n}, M = {m}, S/node = {s}, nodes = {nodes}");
     println!("(C on shard 0 = every node's home, A on shard 1: cross = A traffic)");
     let mut cross = Vec::new();
-    for strategy in [BlockStrategy::SquareTiles, BlockStrategy::TriangleBlocks] {
+    for algorithm in [SyrkAlgorithm::SquareBlocks, SyrkAlgorithm::Tbs] {
         let mut c = SymMatrix::<f64>::zeros(n);
-        let report =
-            parallel_syrk_sharded(&a, &mut c, 1.0, nodes, s, strategy).expect("sharded run");
+        let job = Job::Syrk {
+            a: &a,
+            c: &mut c,
+            alpha: 1.0,
+            algorithm,
+        };
+        let opts = RunOptions {
+            workers: nodes,
+            shards: 2,
+            ..RunOptions::new(s)
+        };
+        let outcome = run(job, &opts).expect("sharded run");
+        let report = outcome.parallel.expect("parallel report");
         assert!(c.approx_eq(&reference, 1e-9), "result must match reference");
         println!();
         println!(
-            "strategy: {:<15} total cross-shard {:>8}  bottleneck node {:>8}",
-            strategy.name(),
+            "schedule: {:<10} total cross-shard {:>8}  bottleneck node {:>8}",
+            algorithm.name(),
             report.total_cross(),
             report.max_cross()
         );
-        for (node, io) in report.per_node.iter().enumerate() {
+        for (node, io) in report.per_worker.iter().enumerate() {
             println!(
                 "  node {node}: {:>6} local + {:>6} cross-shard elements over {} groups",
                 io.local, io.cross, io.tasks
@@ -121,5 +132,5 @@ fn main() {
         "triangle / square cross-shard ratio: {:.4} — the paper's 1/sqrt(2) ~ 0.707",
         cross[1] as f64 / cross[0] as f64
     );
-    println!("(t/(k-1) = 2/3 at this finite shape; the A/B gate ab_multilevel bands it)");
+    println!("(about 0.73 at this finite shape; the A/B gate ab_multilevel bands it)");
 }

@@ -1,22 +1,18 @@
-//! Real multi-worker SYRK on a shared slow memory: observed vs analytic
-//! per-worker I/O for both distribution strategies at P = 4 (the executable
-//! version of experiment E12, now with every transfer actually performed).
+//! Real multi-worker SYRK on a shared slow memory: per-worker I/O of the
+//! square-block and TBS schedules at P = 4 (the executable version of
+//! experiment E12, with every transfer actually performed).
 //!
 //! ```text
 //! cargo run --release --example parallel_workers
 //! ```
 //!
-//! Every run registers `A` and `C` in a `SharedSlowMemory`, distributes the
-//! partition's task groups over P capacity-checked workers through the
-//! engine's work-stealing queue, and compares each worker's *measured*
-//! [`WorkerIo`] against the dry-run prediction for the groups it processed.
+//! `RunOptions { workers: 4, .. }` replays the job's compiled schedule on
+//! four capacity-checked workers through the engine's work-stealing queue.
+//! The run checks each worker's *measured* I/O against the dry run of the
+//! groups it processed (a mismatch is an error), and the example checks the
+//! result and the summed volume against the serial run of the same job.
 
 use symla::prelude::*;
-use symla_core::parallel::{
-    analytic_worker_io, parallel_syrk, partition_schedule, BlockStrategy, WorkerIo,
-};
-use symla_memory::SharedSlowMemory;
-use symla_sched::WorkerRun;
 
 fn main() {
     let n = 240;
@@ -31,79 +27,59 @@ fn main() {
     println!("Parallel SYRK, N = {n}, M = {m}, S/worker = {s}, P = {workers}");
     println!("(all transfers executed against one shared slow memory)");
 
-    for strategy in [BlockStrategy::SquareTiles, BlockStrategy::TriangleBlocks] {
+    for algorithm in [SyrkAlgorithm::SquareBlocks, SyrkAlgorithm::Tbs] {
+        let syrk = |c: &mut SymMatrix<f64>, workers| {
+            let job = Job::Syrk {
+                a: &a,
+                c,
+                alpha: 1.0,
+                algorithm,
+            };
+            let opts = RunOptions {
+                workers,
+                ..RunOptions::new(s)
+            };
+            run(job, &opts).expect("run")
+        };
+        let mut serial_c = SymMatrix::<f64>::zeros(n);
+        let serial = syrk(&mut serial_c, 1).report.stats;
         let mut c = SymMatrix::<f64>::zeros(n);
-        let report =
-            parallel_syrk(&a, &mut c, 1.0, workers, s, strategy).expect("parallel execution");
+        let outcome = syrk(&mut c, workers);
+        let report = outcome.parallel.expect("parallel report");
         assert!(c.approx_eq(&reference, 1e-9), "result must match reference");
+        assert!(
+            c == serial_c,
+            "parallel result must equal the serial one bitwise"
+        );
+        assert_eq!(outcome.report.stats.volume, serial.volume);
 
         println!();
         println!(
-            "strategy: {:<15} total loads {:>8}  max/worker {:>8}  imbalance {:.3}",
-            strategy.name(),
+            "schedule: {:<10} total loads {:>8}  max/worker {:>8}  imbalance {:.3}",
+            algorithm.name(),
             report.total_loads(),
             report.max_loads(),
             report.imbalance()
         );
         println!(
-            "  {:>6} | {:>10} {:>10} {:>7} | observed = analytic?",
+            "  {:>6} | {:>10} {:>10} {:>7} | observed = analytic",
             "worker", "loads", "stores", "tasks"
         );
         for (w, io) in report.per_worker.iter().enumerate() {
-            // parallel_syrk already asserts this internally; recompute it
-            // here to show the oracle at work.
             println!(
-                "  {:>6} | {:>10} {:>10} {:>7} | yes (dry-run of its {} groups)",
+                "  {:>6} | {:>10} {:>10} {:>7} | checked by the run (dry run of its {} groups)",
                 w, io.loads, io.stores, io.tasks, io.tasks
             );
         }
-    }
-
-    // The same machinery, driven directly: execute a partition schedule in
-    // parallel through the engine and audit each worker by hand.
-    println!();
-    println!("direct engine drive (triangle blocks, P = {workers}):");
-    let schedule = partition_schedule::<f64>(n, m, s, BlockStrategy::TriangleBlocks)
-        .expect("partition schedule");
-    let shared = SharedSlowMemory::new();
-    shared.insert_symmetric(SymMatrix::<f64>::zeros(n)); // id 0 = C
-    shared.insert_dense(a.clone()); // id 1 = A
-    let runs = symla_sched::Engine::execute_parallel(
-        &shared,
-        &schedule,
-        workers,
-        MachineConfig::with_capacity(s),
-        "parallel",
-    )
-    .expect("parallel run");
-    let merged = WorkerRun::merged_stats(&runs);
-    let dry = symla_sched::Engine::dry_run(&schedule, "parallel");
-    assert_eq!(
-        merged, dry,
-        "summed worker stats must equal the serial dry run"
-    );
-    for (w, run) in runs.iter().enumerate() {
-        let observed = WorkerIo {
-            loads: run.stats.volume.loads,
-            stores: run.stats.volume.stores,
-            tasks: run.groups.len(),
-        };
-        assert_eq!(observed, analytic_worker_io(&schedule, &run.groups));
         println!(
-            "  worker {w}: {} groups, {} loads, peak resident {} <= {s}",
-            run.groups.len(),
-            run.stats.volume.loads,
-            run.stats.peak_resident
+            "  merged: {} loads / {} stores == the serial run's, peak resident {} <= {s}",
+            outcome.report.stats.volume.loads,
+            outcome.report.stats.volume.stores,
+            outcome.report.stats.peak_resident
         );
     }
-    println!(
-        "  merged: {} loads / {} stores == serial dry run of {} groups",
-        merged.volume.loads,
-        merged.volume.stores,
-        schedule.num_groups()
-    );
 
     println!();
-    println!("Triangle blocks move ~1/sqrt(2) of the square-tile input volume per worker —");
+    println!("Triangle blocks move ~1/sqrt(2) of the square-block input volume per worker —");
     println!("the paper's sequential headline, preserved under parallel distribution.");
 }

@@ -19,7 +19,6 @@
 //! `ab_obs --smoke`).
 
 use symla::prelude::*;
-use symla_core::parallel::{parallel_syrk_traced, BlockStrategy};
 
 fn main() {
     let model = MachineModel::nvme();
@@ -42,25 +41,25 @@ fn main() {
         recorder: Some(&recorder),
         ..RunOptions::new(s)
     };
-    let run = run(job, &opts).unwrap();
+    let serial = run(job, &opts).unwrap();
     let trace = recorder.finish();
-    let metrics = run.metrics(format!("TBS(tiled) n={n} m={m} S={s} L=2"));
+    let metrics = serial.metrics(format!("TBS(tiled) n={n} m={m} S={s} L=2"));
 
     // Two clocks per event; the modelled one is the static price, bitwise.
-    assert!(run.clock.unwrap().consistent());
+    assert!(serial.clock.unwrap().consistent());
     let export = trace.to_chrome_trace(&[TimeBase::Measured, TimeBase::Modelled]);
     std::fs::write("trace_serial.json", &export).unwrap();
     println!(
         "serial  TbsTiled N={n} M={m} S={s} L=2: {} events, {} loads hidden behind compute",
         trace.len(),
-        run.report.stats.prefetched_elements,
+        serial.report.stats.prefetched_elements,
     );
     println!("        wrote trace_serial.json ({} bytes)", export.len());
 
     // The report mirrors the engine's accounting exactly.
     assert_eq!(
         metrics.registry.counter("engine.loads.elements"),
-        run.report.stats.volume.loads as u128,
+        serial.report.stats.volume.loads as u128,
     );
     println!();
     println!("{}", metrics.to_json());
@@ -71,18 +70,20 @@ fn main() {
     let pa = generate::random_matrix_seeded::<f64>(pn, pm, 12);
     let mut pc = SymMatrix::<f64>::zeros(pn);
     let precorder = TraceRecorder::new();
-    let report = parallel_syrk_traced(
-        &pa,
-        &mut pc,
-        1.0,
+    let job = Job::Syrk {
+        a: &pa,
+        c: &mut pc,
+        alpha: 1.0,
+        algorithm: SyrkAlgorithm::Tbs,
+    };
+    let opts = RunOptions {
         workers,
-        ps,
-        BlockStrategy::TriangleBlocks,
         lookahead,
-        &model,
-        &precorder,
-    )
-    .unwrap();
+        model: Some(model),
+        recorder: Some(&precorder),
+        ..RunOptions::new(ps)
+    };
+    let report = run(job, &opts).unwrap().parallel.unwrap();
     let ptrace = precorder.finish();
     let pexport = ptrace.to_chrome_trace(&[TimeBase::Measured]);
     std::fs::write("trace_parallel.json", &pexport).unwrap();
@@ -90,7 +91,7 @@ fn main() {
     let issues = ptrace.count(|k| matches!(k, EventKind::PrefetchIssue { .. }));
     let steals = ptrace.count(|k| matches!(k, EventKind::Claim { stolen: true, .. }));
     println!(
-        "parallel TriangleBlocks N={pn} M={pm} S={ps} P={workers} L={lookahead}: \
+        "parallel TBS N={pn} M={pm} S={ps} P={workers} L={lookahead}: \
          {} events on {} worker tracks, {issues} prefetch arrows, {steals} steals",
         ptrace.len(),
         ptrace.workers(),

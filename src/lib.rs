@@ -76,8 +76,8 @@ pub mod prelude {
         },
         bounds, lbc_cost, lbc_cost_breakdown, lbc_execute, lbc_schedule, oi, tbs_cost, tbs_execute,
         tbs_schedule, tbs_tiled_cost, tbs_tiled_execute, tbs_tiled_schedule, Engine, EngineConfig,
-        LbcPlan, PassManager, PassPipeline, PlanService, Schedule, ScheduleBuilder, ServedRun,
-        TbsPlan, TbsTiledPlan, TrailingUpdate,
+        LbcPlan, ParallelReport, PassManager, PassPipeline, PlanService, Schedule, ScheduleBuilder,
+        ServedRun, TbsPlan, TbsTiledPlan, TrailingUpdate, WorkerIo,
     };
     pub use symla_matrix::{
         generate, kernels, LowerTriangular, Matrix, MatrixError, Scalar, SymMatrix,

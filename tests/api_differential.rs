@@ -15,7 +15,18 @@
 //!   (the zero-execution-scoring invariant);
 //! * a recorder or a tuning space without a model, or a tuning space with
 //!   a fixed pipeline or lookahead, is rejected with a typed error, by both
-//!   front doors.
+//!   front doors;
+//! * parallel and sharded runs are replay modes of the same compiled
+//!   schedule: for SYRK and GEMM, `pipeline` {none, standard} × `lookahead`
+//!   {0, 2} × `workers` {1, 2, 4} × `shards` {1, 2} (sharded runs at
+//!   lookahead 0) × {`run`, `PlanService::run`} returns the `workers = 1`
+//!   result bitwise, the merged loads and stores equal the serial volume,
+//!   and a serve at another worker count hits the serial plan's cache slot;
+//! * every combination no path supports (Cholesky on several workers, zero
+//!   workers, a shard count other than 1 or 2, a tuned parallel run, a
+//!   sharded run with a lookahead or a recorder, a parallel run with a
+//!   model but no recorder) is rejected with a typed error, by both front
+//!   doors.
 
 use symla::prelude::*;
 
@@ -40,6 +51,9 @@ struct Observed {
     stats: IoStats,
     clock: Option<WallClock>,
     tuning: Option<TuningReport>,
+    parallel: Option<ParallelReport>,
+    /// Where a served run's plan came from (`None` for `run`).
+    source: Option<PlanSource>,
 }
 
 impl Kernel {
@@ -93,15 +107,31 @@ impl Kernel {
     ) -> Result<Observed, OocError> {
         let mut output = self.fresh_output();
         let job = self.job(&mut output);
-        let (stats, factor, clock, tuning) = match service {
+        let (stats, factor, clock, tuning, parallel, source) = match service {
             None => {
                 let outcome = run(job, opts)?;
                 let stats = outcome.report.stats;
-                (stats, outcome.factor, outcome.clock, outcome.tuning)
+                let parallel = outcome.parallel;
+                (
+                    stats,
+                    outcome.factor,
+                    outcome.clock,
+                    outcome.tuning,
+                    parallel,
+                    None,
+                )
             }
             Some(service) => {
                 let served = service.run(job, opts)?;
-                (served.stats, served.factor, served.clock, None)
+                let source = Some(served.source);
+                (
+                    served.stats,
+                    served.factor,
+                    served.clock,
+                    None,
+                    served.parallel,
+                    source,
+                )
             }
         };
         if let Output::Factor(slot) = &mut output {
@@ -112,6 +142,8 @@ impl Kernel {
             stats,
             clock,
             tuning,
+            parallel,
+            source,
         })
     }
 }
@@ -251,12 +283,187 @@ fn grid(kernel: &Kernel, s: usize) {
     }
 }
 
+/// The parallel grid for one SYRK or GEMM instance under capacity `s`:
+/// every supported (workers, shards) point of every (pipeline, lookahead)
+/// class replays the serial run's result bitwise and its volume in total.
+fn parallel_grid(kernel: &Kernel, s: usize) {
+    let name = kernel.name();
+    let model = MachineModel::dram();
+    for pipeline in [PassPipeline::none(), PassPipeline::standard()] {
+        for lookahead in [0usize, 2] {
+            let class = |workers, shards| RunOptions {
+                pipeline: pipeline.clone(),
+                lookahead,
+                workers,
+                shards,
+                ..RunOptions::new(s)
+            };
+            let serial = kernel.run(None, &class(1, 1)).unwrap();
+            assert!(serial.parallel.is_none(), "{name}: one worker is serial");
+            // The first serve compiles the class's plan at workers = 1;
+            // every other worker and shard count must hit it.
+            let service = PlanService::<f64>::in_memory();
+            let cold = kernel.run(Some(&service), &class(1, 1)).unwrap();
+            assert_eq!(cold.source, Some(PlanSource::Compiled), "{name}");
+            let shard_counts: &[usize] = if lookahead == 0 { &[1, 2] } else { &[1] };
+            for &shards in shard_counts {
+                for workers in [1usize, 2, 4] {
+                    if (workers, shards) == (1, 1) {
+                        continue;
+                    }
+                    let traced = [false, shards == 1];
+                    for (served, traced) in [false, true].into_iter().zip(traced) {
+                        let recorder = TraceRecorder::new();
+                        let opts = RunOptions {
+                            model: traced.then_some(model),
+                            recorder: traced.then_some(&recorder),
+                            ..class(workers, shards)
+                        };
+                        let ctx = format!(
+                            "{name} {pipeline:?} L={lookahead} P={workers} shards={shards} \
+                             served={served} traced={traced}"
+                        );
+                        let front = served.then_some(&service);
+                        let got = kernel.run(front, &opts).unwrap();
+                        let report = got.parallel.as_ref().expect("parallel report");
+                        assert_eq!(got.output, serial.output, "{ctx}: result");
+                        assert_eq!(got.stats.volume, serial.stats.volume, "{ctx}: volume");
+                        assert_eq!(report.total_loads(), serial.stats.volume.loads, "{ctx}");
+                        assert_eq!(report.total_stores(), serial.stats.volume.stores, "{ctx}");
+                        assert_eq!(report.per_worker.len(), workers, "{ctx}: workers");
+                        assert_eq!(report.assignment.is_some(), shards == 2, "{ctx}");
+                        assert!(got.stats.peak_resident <= s, "{ctx}: capacity");
+                        assert!(got.clock.is_none(), "{ctx}: no parallel clock");
+                        if served {
+                            assert_eq!(got.source, Some(PlanSource::Memory), "{ctx}: warm");
+                        }
+                        if traced {
+                            assert!(!recorder.finish().is_empty(), "{ctx}: trace recorded");
+                        }
+                    }
+                }
+            }
+            assert_eq!(service.stats().compiles, 1, "{name}: one plan per class");
+        }
+    }
+}
+
+/// Every unsupported parallel combination fails with a typed error at both
+/// front doors, before any replay.
+fn parallel_rejections(kernel: &Kernel, s: usize) {
+    let name = kernel.name();
+    let service = PlanService::<f64>::in_memory();
+    let recorder = TraceRecorder::new();
+    let model = Some(MachineModel::dram());
+    let with = |workers, shards| RunOptions {
+        workers,
+        shards,
+        ..RunOptions::new(s)
+    };
+    let mut rejected = vec![
+        ("zero workers", with(0, 1)),
+        ("zero shards", with(2, 0)),
+        ("three shards", with(2, 3)),
+        (
+            "tuned parallel",
+            RunOptions {
+                model,
+                tuning: Some(kernel.tuning_space(s)),
+                ..with(2, 1)
+            },
+        ),
+        (
+            "sharded with a lookahead",
+            RunOptions {
+                lookahead: 1,
+                ..with(2, 2)
+            },
+        ),
+        (
+            "sharded with a recorder",
+            RunOptions {
+                model,
+                recorder: Some(&recorder),
+                ..with(2, 2)
+            },
+        ),
+        (
+            "parallel model without a recorder",
+            RunOptions {
+                model,
+                ..with(2, 1)
+            },
+        ),
+    ];
+    if let Kernel::Cholesky(..) = kernel {
+        rejected.push(("Cholesky on several workers", with(2, 1)));
+        rejected.push(("Cholesky on two shards", with(1, 2)));
+    }
+    for front in [None, Some(&service)] {
+        for (why, opts) in &rejected {
+            let err = kernel.run(front, opts).err();
+            assert!(
+                matches!(err, Some(OocError::Invalid(_))),
+                "{name}: {why}: expected a typed rejection, got {err:?}"
+            );
+        }
+    }
+    assert_eq!(
+        service.stats().compiles,
+        0,
+        "{name}: rejected before compiling"
+    );
+}
+
 /// The SYRK grid, for one algorithm.
 fn syrk_differential(algorithm: SyrkAlgorithm, n: usize, m: usize, s: usize) {
     let a: Matrix<f64> = generate::random_matrix_seeded(n, m, 8100 + n as u64);
     let mut rng = generate::seeded_rng(8200 + n as u64);
     let c0: SymMatrix<f64> = generate::random_symmetric(n, &mut rng);
     grid(&Kernel::Syrk(a, c0, algorithm), s);
+}
+
+/// The SYRK and GEMM kernels of the parallel grid (the shapes of the serial
+/// grid), with their capacities.
+fn parallel_kernels() -> Vec<(Kernel, usize)> {
+    let syrk = |algorithm, n: usize, m, s| {
+        let a: Matrix<f64> = generate::random_matrix_seeded(n, m, 8100 + n as u64);
+        let mut rng = generate::seeded_rng(8200 + n as u64);
+        (
+            Kernel::Syrk(a, generate::random_symmetric(n, &mut rng), algorithm),
+            s,
+        )
+    };
+    let (n, m, p) = (9usize, 7usize, 11usize);
+    vec![
+        syrk(SyrkAlgorithm::Tbs, 30, 6, 60),
+        syrk(SyrkAlgorithm::TbsTiled, 40, 6, 60),
+        syrk(SyrkAlgorithm::SquareBlocks, 20, 5, 35),
+        (
+            Kernel::Gemm(
+                generate::random_matrix_seeded(n, m, 8400),
+                generate::random_matrix_seeded(m, p, 8401),
+                generate::random_matrix_seeded(n, p, 8402),
+            ),
+            35,
+        ),
+    ]
+}
+
+#[test]
+fn parallel_runs_replay_the_serial_schedule_bitwise() {
+    for (kernel, s) in parallel_kernels() {
+        parallel_grid(&kernel, s);
+    }
+}
+
+#[test]
+fn unsupported_parallel_combinations_are_rejected() {
+    for (kernel, s) in parallel_kernels() {
+        parallel_rejections(&kernel, s);
+    }
+    let spd: SymMatrix<f64> = generate::random_spd_seeded(24, 8324);
+    parallel_rejections(&Kernel::Cholesky(spd, CholeskyAlgorithm::Lbc), 35);
 }
 
 /// The Cholesky grid, for one algorithm.

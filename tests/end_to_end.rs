@@ -233,7 +233,6 @@ fn tbs_and_square_blocks_load_each_c_entry_exactly_once() {
 
 #[test]
 fn parallel_extension_matches_sequential_result() {
-    use symla_core::parallel::{parallel_syrk, BlockStrategy};
     let n = 90;
     let m = 12;
     let a = generate::random_matrix_seeded::<f64>(n, m, 66);
@@ -241,8 +240,20 @@ fn parallel_extension_matches_sequential_result() {
     kernels::syrk_sym(1.0, &a, 1.0, &mut expected).unwrap();
 
     let mut c = SymMatrix::<f64>::zeros(n);
-    let report = parallel_syrk(&a, &mut c, 1.0, 4, 15, BlockStrategy::TriangleBlocks).unwrap();
+    let job = Job::Syrk {
+        a: &a,
+        c: &mut c,
+        alpha: 1.0,
+        algorithm: SyrkAlgorithm::Tbs,
+    };
+    let opts = RunOptions {
+        workers: 4,
+        ..RunOptions::new(15)
+    };
+    let outcome = run(job, &opts).unwrap();
+    let report = outcome.parallel.unwrap();
     assert!(c.approx_eq(&expected, 1e-10));
     assert_eq!(report.workers, 4);
     assert!(report.total_loads() > 0);
+    assert_eq!(report.total_loads(), outcome.report.stats.volume.loads);
 }

@@ -15,18 +15,18 @@
 //!    [`LatencyMachine`] measurement) when recording, and exactly zero when
 //!    disabled (the disabled path must not even run the clock).
 //!
-//! The parallel variant asserts the same for the traced parallel SYRK
-//! against the unobserved one: bitwise results and placement-independent
-//! totals. **Deviation from the serial sweep:** the parallel engine only
-//! executes schedules whose task groups are independent, which in this
-//! workspace means the SYRK-family partition schedules — so the parallel
-//! invariance runs on those, not on all eight builders (Cholesky/LU/TRSM
+//! The parallel variant asserts the same for a traced parallel SYRK run
+//! (`RunOptions::workers > 1` with a model and a recorder) against the
+//! unobserved one: bitwise results and placement-independent totals.
+//! **Deviation from the serial sweep:** the parallel engine only executes
+//! schedules whose task groups are independent, which in this workspace
+//! means the SYRK schedules and GEMM — so the parallel invariance runs on
+//! the SYRK schedules, not on all eight builders (Cholesky/LU/TRSM
 //! schedules carry cross-group dependences and have no parallel mode).
 
 use symla::matrix::generate;
 use symla::prelude::*;
 use symla_bench::corpus::{self, diagonally_dominant, Builder, Case, Operand};
-use symla_core::parallel::{parallel_syrk_prefetched, parallel_syrk_traced, BlockStrategy};
 
 fn sweep_cases() -> Vec<Case> {
     let (n, m, s) = (36, 6, 60);
@@ -141,32 +141,43 @@ fn observation_changes_nothing_for_every_builder() {
 #[test]
 fn parallel_observation_changes_nothing() {
     // Deviation from the serial sweep: the parallel engine executes only
-    // independent-group schedules, i.e. the SYRK partition schedules — the
+    // independent-group schedules, i.e. the SYRK schedules here — the
     // factorizations have no parallel mode to observe.
     let (n, m, s) = (40, 8, 12);
     let a = generate::random_matrix_seeded::<f64>(n, m, 930);
     let model = MachineModel::nvme();
-    for strategy in [BlockStrategy::SquareTiles, BlockStrategy::TriangleBlocks] {
+    for algorithm in [
+        SyrkAlgorithm::SquareBlocks,
+        SyrkAlgorithm::Tbs,
+        SyrkAlgorithm::TbsTiled,
+    ] {
         for lookahead in [0usize, 2] {
-            let ctx = format!("{} L={lookahead}", strategy.name());
+            let ctx = format!("{} L={lookahead}", algorithm.name());
+            let syrk = |c: &mut SymMatrix<f64>, opts: &RunOptions<'_>| {
+                let job = Job::Syrk {
+                    a: &a,
+                    c,
+                    alpha: 1.0,
+                    algorithm,
+                };
+                run(job, opts).unwrap().parallel.unwrap()
+            };
+            let plain_opts = RunOptions {
+                workers: 3,
+                lookahead,
+                ..RunOptions::new(s)
+            };
             let mut plain_c = SymMatrix::zeros(n);
-            let plain =
-                parallel_syrk_prefetched(&a, &mut plain_c, 1.0, 3, s, strategy, lookahead).unwrap();
+            let plain = syrk(&mut plain_c, &plain_opts);
 
             let recorder = TraceRecorder::new();
+            let traced_opts = RunOptions {
+                model: Some(model),
+                recorder: Some(&recorder),
+                ..plain_opts.clone()
+            };
             let mut traced_c = SymMatrix::zeros(n);
-            let traced = parallel_syrk_traced(
-                &a,
-                &mut traced_c,
-                1.0,
-                3,
-                s,
-                strategy,
-                lookahead,
-                &model,
-                &recorder,
-            )
-            .unwrap();
+            let traced = syrk(&mut traced_c, &traced_opts);
             let trace = recorder.finish();
 
             assert!(traced_c == plain_c, "{ctx}: traced result drifted");

@@ -8,7 +8,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 
 use symla::prelude::*;
-use symla_core::parallel::BlockStrategy;
 use symla_core::service::PlanService;
 use symla_plancache::PlanSource;
 
@@ -297,26 +296,37 @@ fn disk_tier_survives_cache_drop_across_kernels() {
     std::fs::remove_dir_all(&tmp).ok();
 }
 
-/// One cached parallel partition schedule replays across worker counts with
-/// results identical to the direct parallel API.
+/// One cached schedule replays across worker counts with results identical
+/// to the direct parallel run: workers are a replay argument, not a plan
+/// input.
 #[test]
 fn cached_parallel_partition_replays_across_worker_counts() {
     let (n, m, s) = (48usize, 6usize, 10usize);
     let a = symla::matrix::generate::random_matrix_seeded::<f64>(n, m, 76);
     let service = PlanService::<f64>::in_memory();
+    let opts = |workers| RunOptions {
+        workers,
+        lookahead: 1,
+        ..RunOptions::new(s)
+    };
+    fn syrk<'a>(a: &'a Matrix<f64>, c: &'a mut SymMatrix<f64>) -> Job<'a, f64> {
+        Job::Syrk {
+            a,
+            c,
+            alpha: 1.0,
+            algorithm: SyrkAlgorithm::SquareBlocks,
+        }
+    }
 
     let mut reference = SymMatrix::zeros(n);
-    symla_core::parallel::parallel_syrk(&a, &mut reference, 1.0, 2, s, BlockStrategy::SquareTiles)
-        .unwrap();
+    run(syrk(&a, &mut reference), &opts(2)).unwrap();
 
     for (workers, want) in [(2usize, PlanSource::Compiled), (4, PlanSource::Memory)] {
         let mut c = SymMatrix::zeros(n);
-        let run = service
-            .syrk_parallel(&a, &mut c, 1.0, workers, s, BlockStrategy::SquareTiles, 1)
-            .unwrap();
+        let run = service.run(syrk(&a, &mut c), &opts(workers)).unwrap();
         assert_eq!(run.source, want, "P={workers}");
         assert!(c == reference, "P={workers}: bitwise identity");
-        assert_eq!(run.report.workers, workers);
+        assert_eq!(run.parallel.unwrap().workers, workers);
     }
     assert_eq!(service.stats().compiles, 1);
 }
